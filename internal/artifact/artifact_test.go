@@ -98,6 +98,56 @@ func TestRoundTripIdenticalPredictions(t *testing.T) {
 	}
 }
 
+// TestRestoredAnalysisMatchesSweptOne restores every corpus kernel's
+// record after its analysis has predicted the whole design space and
+// its search bounds. The restored analysis starts with nothing
+// memoized, and must still predict every design and bound exactly as
+// the analysis model.Analyze returned.
+func TestRestoredAnalysisMatchesSweptOne(t *testing.T) {
+	p := device.Virtex7()
+	peVals, cuVals := model.PEValues(p.MaxPE), model.CUValues(p.MaxCU)
+	for _, k := range bench.All() {
+		wg := k.WGSizes()[0]
+		an := analysisFor(t, k, wg)
+		var space []model.Design
+		for _, d := range model.DefaultSpace(wg, p.MaxPE, p.MaxCU) {
+			if d.WGSize == wg {
+				space = append(space, d)
+			}
+		}
+		want := make([]*model.Estimate, len(space))
+		for i, d := range space {
+			want[i] = an.Predict(d)
+		}
+		bounds := an.DesignBounds(peVals, cuVals)
+
+		data, err := artifact.Encode(artifact.New(keyFor(k, wg), an, time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := artifact.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := k.Compile(wg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := rec.Analysis(f, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := restored.DesignBounds(peVals, cuVals); got != bounds {
+			t.Errorf("%s: restored bounds %+v, swept %+v", k.ID(), got, bounds)
+		}
+		for i := len(space) - 1; i >= 0; i-- {
+			if got := restored.Predict(space[i]); *got != *want[i] {
+				t.Errorf("%s %v: restored %+v, swept %+v", k.ID(), space[i], *got, *want[i])
+			}
+		}
+	}
+}
+
 func TestStoreSaveLoad(t *testing.T) {
 	k, wg := testKernel(t)
 	an := analysisFor(t, k, wg)

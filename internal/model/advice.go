@@ -3,8 +3,6 @@ package model
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/device"
 )
 
 // Resources is the estimated FPGA resource usage of one design point —
@@ -19,22 +17,10 @@ type Resources struct {
 // replicates the kernel's DSP-backed cores, each CU replicates its local
 // memories, and the whole kernel replicates per CU.
 func (a *Analysis) ResourceUsage(d Design) Resources {
-	var dspPerPE float64
-	for _, b := range a.F.Blocks {
-		for _, in := range b.Instrs {
-			cl := device.Classify(in)
-			if c := a.Table.DSPCost(cl); c > 0 {
-				dspPerPE += float64(c * in.T.Lanes())
-			}
-		}
-	}
-	var localBits int64
-	for _, al := range a.F.LocalAllocas() {
-		localBits += al.Count * int64(al.Elem.ElemSize()) * 8
-	}
+	inv := a.invariants()
 	r := Resources{
-		DSPs:   int(dspPerPE) * d.PE * d.CU,
-		BRAMKb: int(localBits/1024) * d.CU,
+		DSPs:   int(inv.dspPerPE) * d.PE * d.CU,
+		BRAMKb: int(inv.localBits/1024) * d.CU,
 	}
 	r.Feasible = r.DSPs <= a.Platform.DSPTotal && r.BRAMKb <= a.Platform.BRAMTotalKb
 	return r

@@ -1,8 +1,6 @@
 package model
 
 import (
-	"repro/internal/cdfg"
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -66,10 +64,11 @@ func CUValues(maxCU int) []int {
 }
 
 // DesignBounds computes the schedule minima over the (peVals × cuVals)
-// lattice. Each distinct resource configuration (Eq. 4's per-PE issue
-// limits; typically only a couple are distinct after the DSP-slot clamp)
-// is scheduled once, so the cost is a few schedules per work-group size —
-// far below one full design-space sweep.
+// lattice. It reads each resource configuration's schedules from the
+// same per-Analysis memo Predict fills (Eq. 4's per-PE issue limits;
+// typically only a couple are distinct after the DSP-slot clamp), so it
+// costs at most a few schedules per work-group size — and none that a
+// sweep of the same designs has already made.
 func (a *Analysis) DesignBounds(peVals, cuVals []int) DesignBounds {
 	b := DesignBounds{
 		WGSize:     a.WGSize,
@@ -78,33 +77,19 @@ func (a *Analysis) DesignBounds(peVals, cuVals []int) DesignBounds {
 		LMemWI:     trace.MemLatencyWI(a.Mem, a.PatLat),
 		HasBarrier: a.F.HasBarrier,
 	}
-	seen := map[sched.Resources]bool{}
 	first := true
 	for _, pe := range peVals {
 		for _, cu := range cuVals {
-			res := peResources(a.Platform, Design{PE: pe, CU: cu})
-			if seen[res] {
-				continue
-			}
-			seen[res] = true
-			scfg := &sched.Config{Table: a.Table, Res: res}
-			g := cdfg.Build(a.F, a.Freq, scfg)
-			r := sched.SMS(a.F, g.Freq, g.BlockOffsets, scfg)
-			sd := sched.SerialDepth(a.F, g.Freq, scfg)
+			res := PEResources(a.Platform, Design{PE: pe, CU: cu})
+			pipe, serial := a.schedule(res, true), a.schedule(res, false)
 			if first {
-				b.PipeII, b.PipeDepth, b.SerialDepth = r.II, r.Depth, sd
+				b.PipeII, b.PipeDepth, b.SerialDepth = pipe.II, pipe.Depth, serial.Depth
 				first = false
 				continue
 			}
-			if r.II < b.PipeII {
-				b.PipeII = r.II
-			}
-			if r.Depth < b.PipeDepth {
-				b.PipeDepth = r.Depth
-			}
-			if sd < b.SerialDepth {
-				b.SerialDepth = sd
-			}
+			b.PipeII = minInt(b.PipeII, pipe.II)
+			b.PipeDepth = minInt(b.PipeDepth, pipe.Depth)
+			b.SerialDepth = minInt(b.SerialDepth, serial.Depth)
 		}
 	}
 	if first { // empty lattice: degenerate but well-formed bounds

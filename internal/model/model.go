@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/cdfg"
 	"repro/internal/device"
@@ -19,6 +20,10 @@ import (
 // work-group size: the profiled trip counts, the classified global-memory
 // trace, and the profiled device latencies. It is independent of the
 // remaining design parameters, so one Analysis serves many design points.
+//
+// An Analysis may be built as a struct literal and is safe for
+// concurrent use. Its exported fields must not change once it has made
+// a prediction: the schedules derived from them are memoized.
 type Analysis struct {
 	F        *ir.Func
 	Platform *device.Platform
@@ -35,6 +40,92 @@ type Analysis struct {
 	WGSize int64
 	// Barriers is the barrier crossings per work-item.
 	Barriers float64
+
+	memo memo
+}
+
+// schedKey is one schedule class. II, Depth and MII (Eq. 1–4) depend on
+// the design only through the per-PE resource budget and whether
+// work-items are pipelined, so every design of a class shares one
+// schedule.
+type schedKey struct {
+	res  sched.Resources
+	pipe bool
+}
+
+// invariants are the design-invariant quantities the model derives from
+// an Analysis.
+type invariants struct {
+	// tot is the frequency-weighted operation totals of Eq. 4 and 6.
+	tot sched.FuncTotals
+	// dspPerPE is the DSP slices one PE's cores occupy.
+	dspPerPE float64
+	// localBits is the local memory one CU allocates, in bits.
+	localBits int64
+}
+
+// memo holds what an Analysis derives from its exported fields, each
+// computed on first use and exactly once: a cold predict evaluates one
+// design, so nothing is computed up front. The zero value is empty and
+// ready.
+type memo struct {
+	invOnce sync.Once
+	inv     invariants
+
+	mu    sync.Mutex
+	sched map[schedKey]func() sched.PipelineResult
+}
+
+// invariants returns the design-invariant quantities of the analysis.
+func (a *Analysis) invariants() invariants {
+	a.memo.invOnce.Do(func() { a.memo.inv = a.computeInvariants() })
+	return a.memo.inv
+}
+
+func (a *Analysis) computeInvariants() invariants {
+	inv := invariants{tot: sched.Totals(a.F, a.Freq, &sched.Config{Table: a.Table})}
+	for _, b := range a.F.Blocks {
+		for _, in := range b.Instrs {
+			if c := a.Table.DSPCost(device.Classify(in)); c > 0 {
+				inv.dspPerPE += float64(c * in.T.Lanes())
+			}
+		}
+	}
+	for _, al := range a.F.LocalAllocas() {
+		inv.localBits += al.Count * int64(al.Elem.ElemSize()) * 8
+	}
+	return inv
+}
+
+// schedule returns the PE schedule of one class, scheduling it on first
+// use. Concurrent callers of one class wait for a single computation;
+// callers of other classes are not held up by it.
+func (a *Analysis) schedule(res sched.Resources, pipe bool) sched.PipelineResult {
+	k := schedKey{res: res, pipe: pipe}
+	a.memo.mu.Lock()
+	get := a.memo.sched[k]
+	if get == nil {
+		if a.memo.sched == nil {
+			a.memo.sched = make(map[schedKey]func() sched.PipelineResult)
+		}
+		get = sync.OnceValue(func() sched.PipelineResult { return a.computeSchedule(k) })
+		a.memo.sched[k] = get
+	}
+	a.memo.mu.Unlock()
+	return get()
+}
+
+// computeSchedule schedules one class. A PE without work-item
+// pipelining is re-issued per work-item: II = Depth, and the MII terms
+// are zero.
+func (a *Analysis) computeSchedule(k schedKey) sched.PipelineResult {
+	scfg := &sched.Config{Table: a.Table, Res: k.res}
+	g := cdfg.Build(a.F, a.Freq, scfg)
+	if !k.pipe {
+		depth := sched.SerialDepth(a.F, g.Freq, scfg)
+		return sched.PipelineResult{II: depth, Depth: depth}
+	}
+	return *sched.SMS(a.F, g.Freq, g.BlockOffsets, scfg)
 }
 
 // AnalysisOptions tunes Analyze.
@@ -153,10 +244,11 @@ func (e *Estimate) Clone() *Estimate {
 	return &c
 }
 
-// peResources derives the scheduler's per-PE issue limits from the
+// PEResources derives the scheduler's per-PE issue limits from the
 // platform and the design's parallelism: local ports and DSP cores are
-// CU-level resources shared by the replicated PEs.
-func peResources(p *device.Platform, d Design) sched.Resources {
+// CU-level resources shared by the replicated PEs. It is the model's
+// schedule-class key, and the simulator builds the same hardware.
+func PEResources(p *device.Platform, d Design) sched.Resources {
 	dspPerCU := p.DSPTotal / maxInt(1, d.CU)
 	// A DSP-backed core costs ≈3–4 slices; each PE can sustain a bounded
 	// number of concurrent DSP issues.
@@ -202,34 +294,27 @@ func (a *Analysis) Predict(d Design) *Estimate {
 // PredictWith evaluates the model with selected components disabled.
 func (a *Analysis) PredictWith(d Design, ab Ablations) *Estimate {
 	e := &Estimate{Design: d, Mode: EffectiveMode(a.F, d)}
-	scfg := &sched.Config{Table: a.Table, Res: peResources(a.Platform, d)}
+	res := PEResources(a.Platform, d)
 
 	// Computation model: CDFG depth + work-item pipeline schedule.
-	g := cdfg.Build(a.F, a.Freq, scfg)
-	if d.WIPipeline {
-		r := sched.SMS(a.F, g.Freq, g.BlockOffsets, scfg)
-		e.IIComp, e.Depth = r.II, r.Depth
-		e.RecMII, e.ResMII = r.RecMII, r.ResMII
-		if ab.IIFromMII {
-			e.IIComp = r.MII
-		}
-	} else {
-		// Without work-item pipelining the PE is re-issued per work-item.
-		depth := sched.SerialDepth(a.F, g.Freq, scfg)
-		e.IIComp, e.Depth = depth, depth
+	s := a.schedule(res, d.WIPipeline)
+	e.IIComp, e.Depth = s.II, s.Depth
+	e.RecMII, e.ResMII = s.RecMII, s.ResMII
+	if d.WIPipeline && ab.IIFromMII {
+		e.IIComp = s.MII
 	}
 
 	// Eq. 6 — effective PE parallelism: the P replicas share the CU's
 	// local-memory ports and DSP budget. (The printed equation's
 	// ⌈Port/(N·P)⌉ terms degenerate to 1 for any realistic P; we
 	// implement the evident intent Port/N capped by P.)
-	tot := sched.Totals(a.F, a.Freq, scfg)
+	tot := a.invariants().tot
 	e.NPE = d.PE
 	if tot.LocalReads >= 1 {
-		e.NPE = minInt(e.NPE, maxInt(1, int(float64(scfg.Res.LocalRead)/tot.LocalReads)))
+		e.NPE = minInt(e.NPE, maxInt(1, int(float64(res.LocalRead)/tot.LocalReads)))
 	}
 	if tot.LocalWrites >= 1 {
-		e.NPE = minInt(e.NPE, maxInt(1, int(float64(scfg.Res.LocalWrite)/tot.LocalWrites)))
+		e.NPE = minInt(e.NPE, maxInt(1, int(float64(res.LocalWrite)/tot.LocalWrites)))
 	}
 	if tot.DSPOps >= 1 {
 		dspPerCU := a.Platform.DSPTotal / maxInt(1, d.CU)

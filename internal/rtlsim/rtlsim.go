@@ -93,7 +93,7 @@ func Simulate(f *ir.Func, p *device.Platform, cfg *interp.Config, d model.Design
 	scfg := &sched.Config{
 		Table:   device.Profile(p, 256),
 		Variant: variant,
-		Res:     peResources(p, d),
+		Res:     model.PEResources(p, d),
 	}
 
 	// Hardware schedule with exact latencies.
@@ -216,22 +216,6 @@ func computeWaves(nwi int64, nPE int) int64 {
 		return 0
 	}
 	return w
-}
-
-// peResources mirrors the model's resource derivation (the hardware is
-// the same; only observed latencies differ).
-func peResources(p *device.Platform, d model.Design) sched.Resources {
-	dspPerCU := p.DSPTotal / maxInt(1, d.CU)
-	dspSlots := dspPerCU / (4 * maxInt(1, d.PE))
-	if dspSlots > 16 {
-		dspSlots = 16
-	}
-	return sched.Resources{
-		LocalRead:  maxInt(1, p.LocalReadPorts()),
-		LocalWrite: maxInt(1, p.LocalWritePorts()),
-		Global:     2,
-		DSPSlots:   maxInt(1, dspSlots),
-	}
 }
 
 func maxInt(a, b int) int {
