@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build vet test race cover serve fuzz-smoke bench-explore bench-serve bench-dse bench-profile bench-trace bench-replay check check-smoke ci
+.PHONY: build vet test race cover serve fuzz-smoke bench-explore bench-serve bench-dse bench-profile bench-trace check check-smoke ci
 
 build:
 	$(GO) build ./...
@@ -77,14 +77,6 @@ bench-profile:
 bench-trace:
 	BENCH_TRACE_JSON=$(CURDIR)/BENCH_trace.json $(GO) test -run='^TestTraceOverheadArtifact$$' -count=1 -v ./internal/serve
 
-# Clustered-serving replay: 1-replica vs 3-replica in-process fleets
-# replay a randomized corpus stream; fleet-wide compute counts and
-# request p50/p99 land in BENCH_replay.json (a CI artifact). The run
-# fails unless every fleet keeps the compile-once property (fleet-wide
-# computes == distinct keys). See docs/SERVE.md "Clustered serving".
-bench-replay:
-	$(GO) run ./cmd/flexcl-replay -out BENCH_replay.json $(BENCH_REPLAY_FLAGS)
-
 # Cross-layer correctness audit (see docs/CHECK.md): model invariants,
 # differential bands vs the simulator, serve consistency. check-smoke is
 # the time-boxed subset CI runs on every push; check is the full corpus.
@@ -98,4 +90,4 @@ check-smoke:
 	$(GO) run ./cmd/tracelint -root .
 	$(GO) run ./cmd/flexcl-check -smoke -timeout 5m
 
-ci: build vet race fuzz-smoke bench-dse bench-profile bench-trace bench-replay check-smoke
+ci: build vet race fuzz-smoke bench-dse bench-profile bench-trace check-smoke

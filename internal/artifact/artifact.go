@@ -9,7 +9,9 @@
 // corpus sweep) pointed at a populated -artifact-dir answers its first
 // prediction of every kernel from disk instead of re-running the
 // interpreter, and N replicas sharing one directory compile each kernel
-// once per fleet instead of once per process.
+// once per fleet instead of once per process (replicas that miss the
+// same key at the same moment may each compile it once; the atomic
+// write keeps the file whole either way).
 //
 // Records deliberately do not carry the ir.Func itself: IR is cheap to
 // rebuild from source (parse + irgen), deterministic, and full of

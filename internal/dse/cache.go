@@ -30,13 +30,11 @@ import (
 // API requests — coalesce onto one entry.
 //
 // Lookups are tiered: memory (singleflight) → artifact store (when the
-// cache was built with one) → peer (when built with a PeerFetcher —
-// the clustered deployment's owning replica) → compute. A disk or peer
-// hit recompiles the kernel (cheap, deterministic) and re-attaches the
-// stored profile instead of re-running the interpreter; fresh computes
-// and peer-fetched records are persisted back to the store after the
-// waiters are released, so restarts and sibling replicas sharing the
-// directory start warm.
+// cache was built with one) → compute. A disk hit recompiles the
+// kernel (cheap, deterministic) and re-attaches the stored profile
+// instead of re-running the interpreter; fresh computes are persisted
+// back to the store after the waiters are released, so restarts and
+// sibling replicas sharing the directory start warm.
 //
 // Completed entries are bounded: beyond Capacity the least recently
 // used completed entry is evicted (in-flight fills never are — that
@@ -52,11 +50,10 @@ import (
 type PrepCache struct {
 	mu    sync.Mutex
 	m     map[prepKey]*prepEntry
-	ll    *list.List                 // completed entries, front = most recently used
-	idx   map[prepKey]*list.Element  // key → LRU element (completed entries only)
-	cap   int                        // max completed entries; < 0 = unbounded
-	store *artifact.Store            // nil = memory only
-	peer  PeerFetcher                // nil = no cluster tier
+	ll    *list.List                // completed entries, front = most recently used
+	idx   map[prepKey]*list.Element // key → LRU element (completed entries only)
+	cap   int                       // max completed entries; < 0 = unbounded
+	store *artifact.Store           // nil = memory only
 	stats CacheStats
 
 	// persist tracks artifact writes still in flight on fill
@@ -85,25 +82,6 @@ type PrepCacheOptions struct {
 	// Store, when non-nil, persists completed fills and answers misses
 	// from disk (see internal/artifact).
 	Store *artifact.Store
-	// Peer, when non-nil, is consulted after the artifact store and
-	// before a local compute: in a clustered deployment it fetches the
-	// key owner's record so each kernel is compiled once per fleet (see
-	// internal/cluster).
-	Peer PeerFetcher
-}
-
-// PeerFetcher is the cluster tier of the cache: it maps a prep key to
-// its owning replica and fetches that replica's record.
-//
-//   - (rec, owner, nil): the owner answered; the cache restores rec
-//     instead of computing.
-//   - (nil, "", nil): the tier does not apply (self-owned key,
-//     clustering off, owner down) — the cache computes locally.
-//   - (nil, "", err): a fleet-level refusal (e.g. the owner shed the
-//     work): the fill fails with err for every coalesced waiter and the
-//     entry is evicted, so a later retry starts fresh.
-type PeerFetcher interface {
-	Fetch(ctx context.Context, k *bench.Kernel, p *device.Platform, wg int64) (rec *artifact.Record, owner string, err error)
 }
 
 type prepKey struct {
@@ -128,21 +106,17 @@ type prepEntry struct {
 	// to ModelTime only when this call did the work (cache hits are
 	// free).
 	dur time.Duration
-	// src records which tier filled the entry (SourceCompute,
-	// SourceDisk or SourcePeer) and peer the owning replica when src is
-	// SourcePeer.
-	src  string
-	peer string
+	// src records which tier filled the entry (SourceCompute or
+	// SourceDisk).
+	src string
 }
 
 // Fill sources, as reported by PrepResult.Source.
 const (
 	// SourceCompute: a full local compile+analyze.
 	SourceCompute = "compute"
-	// SourceDisk: restored from the local artifact store.
+	// SourceDisk: restored from the artifact store.
 	SourceDisk = "disk"
-	// SourcePeer: fetched from the key's owning replica.
-	SourcePeer = "peer"
 )
 
 // PrepOutcome reports how a context-aware cache lookup was satisfied.
@@ -190,7 +164,6 @@ func NewPrepCacheOpts(opts PrepCacheOptions) *PrepCache {
 		idx:   make(map[prepKey]*list.Element),
 		cap:   capacity,
 		store: opts.Store,
-		peer:  opts.Peer,
 	}
 }
 
@@ -276,33 +249,20 @@ func (c *PrepCache) restore(ctx context.Context, key prepKey, e *prepEntry, k *b
 	if !ok {
 		return false
 	}
-	if !c.attach(ctx, "artifact", e, rec, k, wg, p) {
-		c.store.Invalidate(key.artifactKey())
-		return false
-	}
-	return true
-}
-
-// attach completes an entry from a serialized record: recompile the
-// kernel (cheap and deterministic — no interpreter run) and re-attach
-// the stored profile. span names the telemetry stage ("artifact" for
-// the disk tier, "restore" under a peer fetch's "forward" span). False
-// means the record does not fit this build's compiled shape.
-func (c *PrepCache) attach(ctx context.Context, span string, e *prepEntry, rec *artifact.Record, k *bench.Kernel, wg int64, p *device.Platform) bool {
 	t0 := time.Now()
-	_, sp := telemetry.Start(ctx, span)
+	_, sp := telemetry.Start(ctx, "artifact")
 	sp.Annotate("kernel", k.ID())
 	sp.Annotate("wg", fmt.Sprint(wg))
 	defer sp.End()
 	f, err := k.Compile(wg)
-	if err != nil {
-		sp.Annotate("error", err.Error())
-		return false
+	var an *model.Analysis
+	if err == nil {
+		f.EnsureLoops()
+		an, err = rec.Analysis(f, p)
 	}
-	f.EnsureLoops()
-	an, err := rec.Analysis(f, p)
 	if err != nil {
 		sp.Annotate("error", err.Error())
+		c.store.Invalidate(key.artifactKey())
 		return false
 	}
 	e.f, e.an = f, an
@@ -321,22 +281,7 @@ func (c *PrepCache) attach(ctx context.Context, span string, e *prepEntry, rec *
 func (c *PrepCache) fill(ctx context.Context, key prepKey, e *prepEntry, k *bench.Kernel, p *device.Platform, wg int64) {
 	if c.restore(ctx, key, e, k, wg, p) {
 		e.src = SourceDisk
-	}
-	if e.src == "" && c.peer != nil {
-		// Cluster tier: when another replica owns this key, fetch its
-		// record instead of duplicating the compile+analyze. A hard
-		// refusal (owner shed) fails the fill for every waiter; an
-		// unreachable owner or an unusable record degrades to the local
-		// compute below.
-		rec, owner, err := c.peer.Fetch(ctx, k, p, wg)
-		switch {
-		case err != nil:
-			e.err = err
-		case rec != nil && c.attach(ctx, "restore", e, rec, k, wg, p):
-			e.src, e.peer = SourcePeer, owner
-		}
-	}
-	if e.src == "" && e.err == nil {
+	} else {
 		c.mu.Lock()
 		c.stats.Computes++
 		hook := c.testFillHook
@@ -344,9 +289,9 @@ func (c *PrepCache) fill(ctx context.Context, key prepKey, e *prepEntry, k *benc
 		e.run(ctx, k, p, wg, hook)
 		e.src = SourceCompute
 	}
-	// Write-behind: persist fresh computes and peer-fetched records so
-	// the next restart (or a sibling sharing the directory) starts warm.
-	save := e.err == nil && e.src != SourceDisk && c.store != nil
+	// Write-behind: persist fresh computes so the next restart (or a
+	// sibling sharing the directory) starts warm.
+	save := e.err == nil && e.src == SourceCompute && c.store != nil
 	c.mu.Lock()
 	if e.err != nil {
 		// Never negative-cache: drop the entry (if it is still ours)
@@ -355,11 +300,8 @@ func (c *PrepCache) fill(ctx context.Context, key prepKey, e *prepEntry, k *benc
 			delete(c.m, key)
 		}
 	} else {
-		switch e.src {
-		case SourceDisk:
+		if e.src == SourceDisk {
 			c.stats.DiskHits++
-		case SourcePeer:
-			c.stats.PeerHits++
 		}
 		c.linkCompleted(key)
 	}
@@ -439,17 +381,14 @@ type PrepResult struct {
 	An      *model.Analysis
 	Outcome PrepOutcome
 	// Source reports which tier originally filled the entry
-	// (SourceCompute, SourceDisk or SourcePeer; "" when the lookup
-	// failed before the fill resolved).
+	// (SourceCompute or SourceDisk; "" when the lookup failed before the
+	// fill resolved).
 	Source string
-	// Peer is the owning replica's URL when Source is SourcePeer.
-	Peer string
 }
 
 // AnalysisContextDetail is AnalysisContext plus fill attribution: which
-// tier produced the entry and, for the cluster tier, which replica owns
-// the key. The serve layer uses it to report served_by/forwarded on v2
-// responses.
+// tier produced the entry. The serve layer annotates its prep span
+// with it.
 func (c *PrepCache) AnalysisContextDetail(ctx context.Context, k *bench.Kernel, p *device.Platform, wg int64) (PrepResult, error) {
 	key, e, created, coalesced := c.entry(k, p, wg)
 	outcome := PrepCached
@@ -468,7 +407,7 @@ func (c *PrepCache) AnalysisContextDetail(ctx context.Context, k *bench.Kernel, 
 	if e.err != nil {
 		return PrepResult{Outcome: outcome}, e.err
 	}
-	return PrepResult{An: e.an, Outcome: outcome, Source: e.src, Peer: e.peer}, nil
+	return PrepResult{An: e.an, Outcome: outcome, Source: e.src}, nil
 }
 
 // Analyses returns the kernel's per-WG-size analysis map on platform p

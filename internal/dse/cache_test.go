@@ -300,10 +300,14 @@ func TestPrepCacheDiskTier(t *testing.T) {
 	}
 	warm := NewPrepCacheOpts(PrepCacheOptions{Store: store2})
 	for _, wg := range k.WGSizes() {
-		an, err := warm.Analysis(k, p, wg)
+		res, err := warm.AnalysisContextDetail(context.Background(), k, p, wg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if res.Source != SourceDisk {
+			t.Fatalf("wg=%d: source = %q, want %q", wg, res.Source, SourceDisk)
+		}
+		an := res.An
 		for _, d := range model.DefaultSpace(wg, 4, 2) {
 			if d.WGSize != wg {
 				continue

@@ -442,7 +442,7 @@ func (s *Server) submitExplore(req exploreRequest) (*Job, *api.Error) {
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	var req exploreRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := decodeStrict(w, r, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -195,6 +195,53 @@ func TestPredictMalformed400(t *testing.T) {
 	}
 }
 
+// TestRequestBodyBound400: every JSON-decoding route refuses a body
+// over maxRequestBody with its typed 400, even when the oversize body
+// is otherwise a valid request (here: a well-formed request padded
+// with whitespace the decoder would happily skip).
+func TestRequestBodyBound400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	pad := strings.Repeat(" ", maxRequestBody)
+	for _, tc := range []struct {
+		path, body string
+		v2         bool
+	}{
+		{"/v1/predict", `{"bench":"nn","kernel":"nn"` + pad + `}`, false},
+		{"/v1/explore", `{"bench":"nn","kernel":"nn"` + pad + `}`, false},
+		{"/v2/predict", `{"kernel":{"id":"nn/nn"}` + pad + `}`, true},
+		{"/v2/predict:batch", `{"items":[{"kernel":{"id":"nn/nn"}}]` + pad + `}`, true},
+		{"/v2/explore", `{"kernel":{"id":"nn/nn"}` + pad + `}`, true},
+	} {
+		t.Run(strings.TrimPrefix(tc.path, "/"), func(t *testing.T) {
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			raw, _ := io.ReadAll(resp.Body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400; body %.200s", resp.StatusCode, raw)
+			}
+			if tc.v2 {
+				var env struct {
+					Error struct{ Code, Message string }
+				}
+				if err := json.Unmarshal(raw, &env); err != nil || env.Error.Code != "bad_request" {
+					t.Fatalf("want a typed bad_request error, got %s (%v)", raw, err)
+				}
+			} else {
+				var env struct{ Error string }
+				if err := json.Unmarshal(raw, &env); err != nil || !strings.Contains(env.Error, "bad request body") {
+					t.Fatalf("want the v1 bad request body error, got %s (%v)", raw, err)
+				}
+			}
+			if !strings.Contains(string(raw), "too large") {
+				t.Errorf("error does not name the size bound: %s", raw)
+			}
+		})
+	}
+}
+
 func TestPredictTimeout504(t *testing.T) {
 	// A deadline too short for any analysis: the handler must answer
 	// 504, not hang or 200.
@@ -492,5 +539,35 @@ func TestRouteLabelBounded(t *testing.T) {
 	}
 	if got := route("/v1/predict"); got != "/v1/predict" {
 		t.Errorf("route = %q", got)
+	}
+}
+
+// TestV1DeprecationHeaders: every /v1 response advertises the sunset
+// and its /v2 successor; /v2 responses carry neither.
+func TestV1DeprecationHeaders(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+
+	resp := getJSON(t, ts.URL+"/v1/kernels", nil)
+	if resp.Header.Get("Deprecation") != "true" {
+		t.Error("/v1/kernels: missing Deprecation: true")
+	}
+	if link := resp.Header.Get("Link"); link != `</v2/kernels>; rel="successor-version"` {
+		t.Errorf("/v1/kernels: Link = %q", link)
+	}
+
+	// POST endpoints carry it too, including error responses.
+	resp, _ = postJSON(t, ts.URL+"/v1/predict", map[string]any{"bench": "nope", "kernel": "nope"})
+	if resp.Header.Get("Deprecation") != "true" {
+		t.Error("/v1/predict error response: missing Deprecation header")
+	}
+	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v2/predict") {
+		t.Errorf("/v1/predict: Link = %q, want the /v2 successor", link)
+	}
+
+	for _, path := range []string{"/v2/kernels", "/healthz"} {
+		resp := getJSON(t, ts.URL+path, nil)
+		if resp.Header.Get("Deprecation") != "" {
+			t.Errorf("%s: spurious Deprecation header", path)
+		}
 	}
 }

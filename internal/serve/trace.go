@@ -53,7 +53,7 @@ func validRequestID(id string) bool {
 // scrapes and probes would otherwise rotate real traffic out of the
 // ring, and tracing the trace API is just noise.
 func untraced(path string) bool {
-	return path == "/metrics" || path == "/healthz" || path == "/v2/cluster" ||
+	return path == "/metrics" || path == "/healthz" ||
 		strings.HasPrefix(path, "/debug/")
 }
 

@@ -345,6 +345,10 @@ func benchPredict(b *testing.B, traceCapacity int) float64 {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// Drain before Close so the keep-alive connection is reused: an
+	// undrained body forces a fresh TCP dial per iteration, and the
+	// benchmark would mostly measure connection setup.
+	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -352,6 +356,7 @@ func benchPredict(b *testing.B, traceCapacity int) float64 {
 		if err != nil {
 			b.Fatal(err)
 		}
+		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
 	b.StopTimer()

@@ -40,14 +40,12 @@ func (s *Server) v2Predict(r *http.Request, req api.PredictRequest, lane int, ti
 		NPE:           est.NPE,
 		NCU:           est.NCU,
 		Cache:         out.cache,
-		ServedBy:      out.servedBy,
-		Forwarded:     out.forwarded,
 	}, nil
 }
 
 func (s *Server) handleV2Predict(w http.ResponseWriter, r *http.Request) {
 	var req api.PredictRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := decodeStrict(w, r, &req); err != nil {
 		writeV2Err(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest,
 			"bad request body: %v", err))
 		return
@@ -62,7 +60,7 @@ func (s *Server) handleV2Predict(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleV2Batch(w http.ResponseWriter, r *http.Request) {
 	var req api.BatchPredictRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := decodeStrict(w, r, &req); err != nil {
 		writeV2Err(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest,
 			"bad request body: %v", err))
 		return
@@ -119,7 +117,7 @@ func (s *Server) handleV2Batch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleV2Explore(w http.ResponseWriter, r *http.Request) {
 	var req api.ExploreRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := decodeStrict(w, r, &req); err != nil {
 		writeV2Err(w, api.Errf(api.CodeBadRequest, http.StatusBadRequest,
 			"bad request body: %v", err))
 		return

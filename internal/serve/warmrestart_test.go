@@ -3,9 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"os"
+	"regexp"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,6 +30,33 @@ func warmCorpus() []*bench.Kernel {
 	return out
 }
 
+// predictKernel runs one /v2/predict for k at its first WG size and
+// returns the raw response body; any transport error or non-200
+// status is an error. It never touches a *testing.T, so concurrent
+// goroutines may call it.
+func predictKernel(baseURL string, k *bench.Kernel) ([]byte, error) {
+	req, err := json.Marshal(map[string]any{
+		"kernel": map[string]any{"id": k.ID()},
+		"design": map[string]any{"wg_size": k.WGSizes()[0]},
+	})
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.Post(baseURL+"/v2/predict", "application/json", bytes.NewReader(req))
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("%s: predict status %d: %s", k.ID(), resp.StatusCode, body)
+	}
+	return body, nil
+}
+
 // predictCorpus runs one /v2/predict per corpus kernel (first WG size
 // each) and returns the raw response bodies keyed by kernel id plus the
 // per-request wall times.
@@ -33,15 +65,11 @@ func predictCorpus(t *testing.T, baseURL string, ks []*bench.Kernel) (map[string
 	bodies := make(map[string][]byte, len(ks))
 	times := make([]time.Duration, 0, len(ks))
 	for _, k := range ks {
-		req := map[string]any{
-			"kernel": map[string]any{"id": k.ID()},
-			"design": map[string]any{"wg_size": k.WGSizes()[0]},
-		}
 		t0 := time.Now()
-		resp, body := postJSON(t, baseURL+"/v2/predict", req)
+		body, err := predictKernel(baseURL, k)
 		times = append(times, time.Since(t0))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: predict status %d: %s", k.ID(), resp.StatusCode, body)
+		if err != nil {
+			t.Fatal(err)
 		}
 		bodies[k.ID()] = body
 	}
@@ -130,6 +158,91 @@ func TestWarmRestartArtifact(t *testing.T) {
 
 	if out := os.Getenv("BENCH_SERVE_JSON"); out != "" {
 		writeBenchServeArtifact(t, out, len(ks), coldStats.Computes, warmStats.DiskHits, coldTimes, warmTimes)
+	}
+}
+
+// cacheField matches the "cache" member of an indented v2 predict
+// body: how this request was answered, which legitimately varies
+// between concurrent requests for the same key.
+var cacheField = regexp.MustCompile(`"cache": "(pred|prep|coalesced|miss)"`)
+
+// TestSharedArtifactDirReplicas is the documented multi-replica
+// deployment: two live servers share one ArtifactDir and take
+// overlapping concurrent predictions for the same keys. Every answer
+// matches a memory-only single-node reference (all but the cache
+// provenance field byte for byte), no request fails, and each replica
+// fills each key once, from its own compute or its sibling's record.
+// A third server on the directory then answers every key from disk
+// with zero computes and bodies identical to the reference in full.
+func TestSharedArtifactDirReplicas(t *testing.T) {
+	ks := warmCorpus()
+	_, refTS := newTestServer(t, Config{})
+	ref, _ := predictCorpus(t, refTS.URL, ks)
+
+	dir := t.TempDir()
+	a, aTS := newTestServer(t, Config{ArtifactDir: dir})
+	b, bTS := newTestServer(t, Config{ArtifactDir: dir})
+	const rounds = 3
+	var (
+		wg     sync.WaitGroup
+		failed atomic.Int64
+		start  = make(chan struct{})
+	)
+	for r := 0; r < rounds; r++ {
+		for _, base := range []string{aTS.URL, bTS.URL} {
+			for _, k := range ks {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					body, err := predictKernel(base, k)
+					if err != nil {
+						failed.Add(1)
+						t.Error(err)
+						return
+					}
+					if !cacheField.Match(body) {
+						t.Errorf("%s: body carries no known cache value: %s", k.ID(), body)
+					}
+					got := cacheField.ReplaceAll(body, nil)
+					want := cacheField.ReplaceAll(ref[k.ID()], nil)
+					if !bytes.Equal(got, want) {
+						t.Errorf("%s via %s: body differs from the single-node reference\ngot:  %s\nwant: %s",
+							k.ID(), base, body, ref[k.ID()])
+					}
+				}()
+			}
+		}
+	}
+	close(start)
+	wg.Wait()
+	if n := failed.Load(); n != 0 {
+		t.Fatalf("%d of %d requests failed", n, rounds*2*len(ks))
+	}
+	for name, s := range map[string]*Server{"a": a, "b": b} {
+		s.prep.Flush()
+		st := s.prep.Stats()
+		t.Logf("replica %s: %d computes, %d disk hits, %d coalesced", name, st.Computes, st.DiskHits, st.Coalesced)
+		if st.Computes+st.DiskHits != uint64(len(ks)) {
+			t.Errorf("replica %s filled %d computes + %d disk hits, want %d keys filled once",
+				name, st.Computes, st.DiskHits, len(ks))
+		}
+	}
+
+	c, cTS := newTestServer(t, Config{ArtifactDir: dir})
+	bodies, _ := predictCorpus(t, cTS.URL, ks)
+	st := c.prep.Stats()
+	if st.Computes != 0 {
+		t.Errorf("third replica ran %d compile+analyze computes, want 0", st.Computes)
+	}
+	if st.DiskHits != uint64(len(ks)) {
+		t.Errorf("third replica disk hits = %d, want %d", st.DiskHits, len(ks))
+	}
+	for _, k := range ks {
+		if !bytes.Equal(bodies[k.ID()], ref[k.ID()]) {
+			t.Errorf("%s: third replica body differs from the reference\ngot:  %s\nwant: %s",
+				k.ID(), bodies[k.ID()], ref[k.ID()])
+		}
 	}
 }
 
