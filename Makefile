@@ -39,6 +39,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/opencl/parser
 	$(GO) test -run='^$$' -fuzz='^FuzzLowerBound$$' -fuzztime=$(FUZZTIME) ./internal/dse
 	$(GO) test -run='^$$' -fuzz='^FuzzAffineAnalyzer$$' -fuzztime=$(FUZZTIME) ./internal/interp
+	$(GO) test -run='^$$' -fuzz='^FuzzClassifyGrouped$$' -fuzztime=$(FUZZTIME) ./internal/trace
 
 # Serial-vs-parallel exploration wall time (see docs/MODEL.md
 # "Exploration performance").

@@ -152,10 +152,11 @@ func interpProfile(f *ir.Func, cfg *Config, sample groupSample, workers int, ind
 	return prof, SourceInterp, err
 }
 
-// Diff compares two profiles field for field (Source excluded: it
-// records provenance, not content) and describes the first difference,
-// or returns "" when they are identical. Float comparisons are bitwise:
-// the fast paths promise exact equality, not approximation.
+// Diff compares two profiles field for field (Source and Params
+// excluded: they record provenance, not content) and describes the
+// first difference, or returns "" when they are identical. Float
+// comparisons are bitwise: the fast paths promise exact equality, not
+// approximation.
 func (p *Profile) Diff(q *Profile) string {
 	if p == nil || q == nil {
 		if p == q {
@@ -204,11 +205,25 @@ func (p *Profile) Diff(q *Profile) string {
 		}
 		for j := range ta {
 			if ta[j] != tb[j] {
-				return fmt.Sprintf("Traces[%d][%d] %+v vs %+v", i, j, ta[j], tb[j])
+				return fmt.Sprintf("Traces[%d][%d] %s vs %s", i, j, p.accessString(ta[j]), q.accessString(tb[j]))
 			}
 		}
 	}
 	return ""
+}
+
+// accessString renders one traced access with its buffer named, e.g.
+// "write a[12] (4B)".
+func (p *Profile) accessString(a Access) string {
+	dir := "read"
+	if a.Write {
+		dir = "write"
+	}
+	name := fmt.Sprintf("param#%d", a.Param)
+	if a.Param >= 0 && int(a.Param) < len(p.Params) {
+		name = p.Params[a.Param].PName
+	}
+	return fmt.Sprintf("%s %s[%d] (%dB)", dir, name, a.Index, a.Bytes)
 }
 
 // ---- static plan executor ----
@@ -267,7 +282,7 @@ type planStep struct {
 	cells []Val     // tracked alloca contents (nil: bounds-check only)
 	count int64     // alloca cell count
 	lanes int64     // element lanes of the access
-	bytes int       // traced bytes of the access
+	bytes uint16    // traced bytes of the access
 
 	// Work-item query pre-resolution (aWorkItem).
 	wi    uint8
@@ -413,7 +428,7 @@ func (x *planExec) compileStep(in *ir.Instr, cells map[*ir.Alloca][]Val) planSte
 		st.castFrom = in.Args[0].Type()
 	case ir.OpLoad:
 		st.lanes = int64(in.T.Lanes())
-		st.bytes = in.T.ElemSize()
+		st.bytes = uint16(in.T.ElemSize())
 		switch s := in.Mem.(type) {
 		case *ir.Param:
 			st.act, st.prm, st.buf = aLoadParam, s, x.cfg.Buffers[s.PName]
@@ -426,7 +441,7 @@ func (x *planExec) compileStep(in *ir.Instr, cells map[*ir.Alloca][]Val) planSte
 		case *ir.Param:
 			t := s.Elem()
 			st.act, st.prm, st.buf = aStoreParam, s, x.cfg.Buffers[s.PName]
-			st.lanes, st.bytes = int64(t.Lanes()), t.ElemSize()
+			st.lanes, st.bytes = int64(t.Lanes()), uint16(t.ElemSize())
 		case *ir.Alloca:
 			st.act, st.count = aStoreAlloca, s.Count
 			st.lanes = int64(s.Elem.Lanes())
@@ -437,7 +452,7 @@ func (x *planExec) compileStep(in *ir.Instr, cells map[*ir.Alloca][]Val) planSte
 		case *ir.Param:
 			t := s.Elem()
 			st.act, st.prm, st.buf = aAtomicParam, s, x.cfg.Buffers[s.PName]
-			st.lanes, st.bytes = int64(t.Lanes()), t.ElemSize()
+			st.lanes, st.bytes = int64(t.Lanes()), uint16(t.ElemSize())
 		case *ir.Alloca:
 			st.act, st.count = aAtomicAlloca, s.Count
 			st.lanes = int64(s.Elem.Lanes())
@@ -478,7 +493,7 @@ func runPlan(p *static.Plan, cfg *Config, sample groupSample) (*Profile, error) 
 		return nil, err
 	}
 
-	prof := &Profile{BlockCounts: make(map[*ir.Block]float64)}
+	prof := &Profile{BlockCounts: make(map[*ir.Block]float64), Params: p.Fn.Params}
 	x := newPlanExec(p, cfg, nd)
 
 	gid := int64(0)
@@ -734,7 +749,7 @@ func (x *planExec) step(st *planStep) error {
 			return fmt.Errorf("interp: load out of bounds: %s[%d] (len %d)", st.prm.PName, idx, st.buf.Len()/int(st.lanes))
 		}
 		x.accesses = append(x.accesses, Access{
-			Param: st.prm, Index: idx, Bytes: st.bytes, Write: false,
+			Param: int32(st.prm.Index), Index: idx, Bytes: st.bytes, Write: false,
 		})
 		if st.reg >= 0 {
 			x.regs[st.reg] = readBufPlain(st.buf, base, st.lanes)
@@ -767,7 +782,7 @@ func (x *planExec) step(st *planStep) error {
 			return fmt.Errorf("interp: store out of bounds: %s[%d] (len %d)", st.prm.PName, idx, st.buf.Len()/int(st.lanes))
 		}
 		x.accesses = append(x.accesses, Access{
-			Param: st.prm, Index: idx, Bytes: st.bytes, Write: true,
+			Param: int32(st.prm.Index), Index: idx, Bytes: st.bytes, Write: true,
 		})
 		return nil
 	case aStoreAlloca:
@@ -798,8 +813,8 @@ func (x *planExec) step(st *planStep) error {
 			return fmt.Errorf("interp: load out of bounds: %s[%d] (len %d)", st.prm.PName, idx, st.buf.Len()/int(st.lanes))
 		}
 		x.accesses = append(x.accesses,
-			Access{Param: st.prm, Index: idx, Bytes: st.bytes, Write: false},
-			Access{Param: st.prm, Index: idx, Bytes: st.bytes, Write: true})
+			Access{Param: int32(st.prm.Index), Index: idx, Bytes: st.bytes, Write: false},
+			Access{Param: int32(st.prm.Index), Index: idx, Bytes: st.bytes, Write: true})
 		return nil
 	case aAtomicAlloca:
 		idx := x.src(st.args[0]).I

@@ -55,11 +55,13 @@ func (b *Buffer) Len() int {
 	return len(b.I)
 }
 
-// Access is one recorded global-memory access of a work-item.
+// Access is one recorded global-memory access of a work-item. It holds
+// no pointers (the buffer is named by its parameter ordinal), so traces
+// are 16-byte records the garbage collector never scans.
 type Access struct {
-	Param *ir.Param // which buffer argument
-	Index int64     // element index into the buffer (scalar slots)
-	Bytes int       // access width in bytes
+	Index int64  // element index into the buffer (scalar slots)
+	Param int32  // ordinal of the buffer argument (ir.Param.Index)
+	Bytes uint16 // access width in bytes
 	Write bool
 }
 
@@ -124,6 +126,9 @@ type Profile struct {
 	// Traces holds the per-work-item global access sequences, in
 	// work-item issue order within each profiled group.
 	Traces [][]Access
+	// Params is the profiled kernel's parameter list; Access.Param
+	// indexes it. Diff reads it to name buffers.
+	Params []*ir.Param
 	// WorkItems is the number of profiled work-items.
 	WorkItems int
 	// Barriers is the number of barrier crossings per work-item.
@@ -226,7 +231,7 @@ func execute(f *ir.Func, cfg *Config, sample groupSample, trace bool) (*Profile,
 		return nil, err
 	}
 
-	prof := &Profile{BlockCounts: make(map[*ir.Block]float64)}
+	prof := &Profile{BlockCounts: make(map[*ir.Block]float64), Params: f.Params}
 	var mu sync.Mutex // guards prof and atomics
 
 	gid := int64(0)

@@ -3,6 +3,7 @@ package interp
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ir"
 	"repro/internal/irgen"
@@ -327,12 +328,54 @@ __kernel void copy(__global const float* a, __global float* b) {
 		if tr[0].Write || !tr[1].Write {
 			t.Errorf("wi %d: access order wrong: %+v", wi, tr)
 		}
-		if tr[0].Param.PName != "a" || tr[1].Param.PName != "b" {
-			t.Errorf("wi %d: wrong buffers %s/%s", wi, tr[0].Param.PName, tr[1].Param.PName)
+		if src, dst := prof.Params[tr[0].Param].PName, prof.Params[tr[1].Param].PName; src != "a" || dst != "b" {
+			t.Errorf("wi %d: wrong buffers %s/%s", wi, src, dst)
 		}
 		if tr[0].Index != int64(wi) {
 			t.Errorf("wi %d: index %d", wi, tr[0].Index)
 		}
+	}
+}
+
+// TestAccessIsPointerFree pins the trace record at 16 bytes: a pointer
+// field would make every trace GC-scanned, and padding would double it.
+func TestAccessIsPointerFree(t *testing.T) {
+	if got := unsafe.Sizeof(Access{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(Access{}) = %d, want 16", got)
+	}
+}
+
+// TestProfileDiffNamesBuffers: a trace mismatch names the buffer from
+// the kernel's parameters rather than printing a bare ordinal.
+func TestProfileDiffNamesBuffers(t *testing.T) {
+	k := compileKernel(t, `
+__kernel void copy(__global const float* a, __global float* b) {
+    int i = get_global_id(0);
+    b[i] = a[i];
+}`, "copy")
+	cfg := &Config{
+		Range: NDRange{Global: [3]int64{16}, Local: [3]int64{16}},
+		Buffers: map[string]*Buffer{
+			"a": NewFloatBuffer(ast.KFloat, 16),
+			"b": NewFloatBuffer(ast.KFloat, 16),
+		},
+	}
+	p, err := ProfileKernel(k, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := ProfileKernel(k, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := p.Diff(q); d != "" {
+		t.Fatalf("identical profiles differ: %s", d)
+	}
+	q.Traces[3] = append([]Access(nil), q.Traces[3]...)
+	q.Traces[3][1].Index = 7
+	want := "Traces[3][1] write b[3] (4B) vs write b[7] (4B)"
+	if d := p.Diff(q); d != want {
+		t.Errorf("Diff = %q, want %q", d, want)
 	}
 }
 

@@ -113,7 +113,7 @@ loop:
 	// Merge in dispatch order, stopping at the first failed group with
 	// the partial profile of the groups before it — exactly what the
 	// sequential path returns.
-	prof := &Profile{BlockCounts: make(map[*ir.Block]float64)}
+	prof := &Profile{BlockCounts: make(map[*ir.Block]float64), Params: f.Params}
 	for i := range sels {
 		if errs[i] != nil {
 			return prof, true, errs[i]

@@ -123,13 +123,12 @@ func Simulate(f *ir.Func, p *device.Platform, cfg *interp.Config, d model.Design
 	}
 	r.NPE = nPE
 
-	// Coalesce each work-group's accesses in pipeline issue order.
+	// Coalesce each work-group's accesses in pipeline issue order into
+	// one reused burst buffer.
 	layout := trace.NewLayout(f, trace.BufferCounts(f, cfg), p.DRAM)
 	unit := p.MemAccessUnitBits / 8
-	wgBursts := trace.WGBursts(prof.Traces, wgSize, layout, unit)
-	for _, bs := range wgBursts {
-		r.MemBursts += int64(len(bs))
-	}
+	var bursts []trace.Burst
+	appendBurst := func(b trace.Burst) { bursts = append(bursts, b) }
 
 	mem := dram.NewSim(p.DRAM)
 	cuFree := make([]int64, maxInt(1, d.CU))
@@ -139,7 +138,15 @@ func Simulate(f *ir.Func, p *device.Platform, cfg *interp.Config, d model.Design
 	// ΔL_schedule (±jitter) per group — the mechanism behind the
 	// effective-CU-parallelism bound of Eq. 8.
 	var dispatch int64
-	for wg := int64(0); wg < simGroups && wg < int64(len(wgBursts)); wg++ {
+	traced := int64(len(prof.Traces))
+	for wg := int64(0); wg*wgSize < traced; wg++ {
+		lo, hi := wg*wgSize, min((wg+1)*wgSize, traced)
+		bursts = bursts[:0]
+		trace.CoalesceWG(prof.Traces[lo:hi], layout, unit, appendBurst)
+		r.MemBursts += int64(len(bursts))
+		if wg >= simGroups {
+			continue
+		}
 		if opts.Ctx != nil && opts.Ctx.Err() != nil {
 			return nil, fmt.Errorf("rtlsim: %s: %w", f.Name, opts.Ctx.Err())
 		}
@@ -151,16 +158,13 @@ func Simulate(f *ir.Func, p *device.Platform, cfg *interp.Config, d model.Design
 			start = cuFree[cu]
 		}
 
-		nwi := wgSize
-		if (wg+1)*wgSize > int64(len(prof.Traces)) {
-			nwi = int64(len(prof.Traces)) - wg*wgSize
-		}
+		nwi := hi - lo
 		var done int64
 		switch mode {
 		case model.ModeBarrier:
-			done = simulateBarrierWG(mem, wgBursts[wg], nwi, start, iiSim, depthSim, nPE)
+			done = simulateBarrierWG(mem, bursts, nwi, start, iiSim, depthSim, nPE)
 		default:
-			done = simulatePipelineWG(mem, wgBursts[wg], nwi, start, iiSim, depthSim, nPE)
+			done = simulatePipelineWG(mem, bursts, nwi, start, iiSim, depthSim, nPE)
 		}
 		cuFree[cu] = done
 		if done > lastDone {

@@ -100,21 +100,33 @@ func ResolveKernel(ref KernelRef, fl Flavor) (*bench.Kernel, *Error) {
 	return k, nil
 }
 
+// platforms is the platform catalogue, built once: nothing writes
+// through a *device.Platform, so every request shares these entries.
+// knownPlatforms is its sorted key list for the unknown-platform error.
+var (
+	platforms      = device.Platforms()
+	knownPlatforms = sortedKeys(platforms)
+)
+
+func sortedKeys(m map[string]*device.Platform) string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, ", ")
+}
+
 // ResolvePlatform maps a platform name ("" = virtex7) to its catalogue
 // entry and key.
 func ResolvePlatform(name string) (*device.Platform, string, *Error) {
 	if name == "" {
 		name = "virtex7"
 	}
-	p, ok := device.Platforms()[name]
+	p, ok := platforms[name]
 	if !ok {
-		known := make([]string, 0, len(device.Platforms()))
-		for n := range device.Platforms() {
-			known = append(known, n)
-		}
-		sort.Strings(known)
 		return nil, "", Errf(CodeBadRequest, http.StatusBadRequest,
-			"unknown platform %q (known: %s)", name, strings.Join(known, ", "))
+			"unknown platform %q (known: %s)", name, knownPlatforms)
 	}
 	return p, name, nil
 }

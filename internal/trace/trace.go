@@ -18,6 +18,10 @@ import (
 type Layout struct {
 	Base map[string]int64
 	End  int64
+	// base is Base indexed by parameter ordinal (ir.Param.Index, the
+	// Access.Param of a trace); -1 marks a parameter that is not a
+	// global buffer.
+	base []int64
 }
 
 // NewLayout lays the kernel's global buffers out sequentially, each
@@ -28,10 +32,14 @@ func NewLayout(f *ir.Func, counts map[string]int64, p device.DRAMParams) Layout 
 	if align <= 0 {
 		align = 1024
 	}
-	l := Layout{Base: make(map[string]int64)}
+	l := Layout{Base: make(map[string]int64), base: make([]int64, len(f.Params))}
+	for i := range l.base {
+		l.base[i] = -1
+	}
 	var addr int64
 	for _, prm := range f.GlobalParams() {
 		l.Base[prm.PName] = addr
+		l.base[prm.Index] = addr
 		n := counts[prm.PName]
 		if n <= 0 {
 			n = 1024
@@ -43,55 +51,82 @@ func NewLayout(f *ir.Func, counts map[string]int64, p device.DRAMParams) Layout 
 	return l
 }
 
+// baseOf returns the base address of the buffer a trace access names,
+// and false when the parameter is not a global buffer.
+func (l *Layout) baseOf(param int32) (int64, bool) {
+	if param < 0 || int(param) >= len(l.base) || l.base[param] < 0 {
+		return 0, false
+	}
+	return l.base[param], true
+}
+
 // Burst is one coalesced memory transaction.
 type Burst struct {
 	Addr  int64
 	Write bool
 }
 
-// CoalesceWI merges consecutive same-direction accesses to adjacent
-// addresses within one work-item's trace into bursts of unitBytes, and
-// returns the burst list. This implements the coalescing rule of §3.4:
-// the access count divides by f = unit size / data width for unit-stride
-// streams.
-func CoalesceWI(accs []interp.Access, l Layout, unitBytes int) []Burst {
-	if unitBytes <= 0 {
-		unitBytes = 64
+// CoalesceWG streams one work-group's memory traffic, in pipeline issue
+// order, through the coalescing rule of §3.4 and calls emit for every
+// resulting burst. With work-item pipelining all work-items execute the
+// same instruction in adjacent cycles, so the k-th access of every
+// work-item issues before anyone's (k+1)-th; this column-major order is
+// what lets SDAccel merge consecutive work-items' unit-stride accesses
+// into 512-bit bursts (f = unit size / data width). Consecutive
+// same-direction accesses to byte-contiguous addresses of one buffer
+// form a run, and a run issues one burst per unitBytes-aligned unit it
+// touches. Accesses to parameters that are not global buffers are
+// skipped. Nothing is materialised: the traces are read in place.
+func CoalesceWG(group [][]interp.Access, l Layout, unitBytes int, emit func(Burst)) {
+	unit := int64(unitBytes)
+	if unit <= 0 {
+		unit = 64
 	}
-	var bursts []Burst
-	i := 0
-	for i < len(accs) {
-		a := accs[i]
-		base, ok := l.Base[a.Param.PName]
-		if !ok {
-			i++
-			continue
-		}
-		addr := base + a.Index*int64(a.Bytes)
-		end := addr + int64(a.Bytes)
-		j := i + 1
-		// Extend the run while accesses are the same direction and
-		// byte-contiguous.
-		for j < len(accs) {
-			b := accs[j]
-			if b.Write != a.Write || b.Param != a.Param {
-				break
-			}
-			nb := l.Base[b.Param.PName] + b.Index*int64(b.Bytes)
-			if nb != end {
-				break
-			}
-			end = nb + int64(b.Bytes)
-			j++
-		}
-		// Emit ceil(run/unit) bursts, aligned down to the unit.
-		first := addr / int64(unitBytes) * int64(unitBytes)
-		for p := first; p < end; p += int64(unitBytes) {
-			bursts = append(bursts, Burst{Addr: p, Write: a.Write})
-		}
-		i = j
+	maxLen := 0
+	for _, tr := range group {
+		maxLen = max(maxLen, len(tr))
 	}
-	return bursts
+	var (
+		open       bool // a run is in progress
+		write      bool
+		param      int32
+		start, end int64 // the run's byte range [start, end)
+	)
+	for k := 0; k < maxLen; k++ {
+		for _, tr := range group {
+			if k >= len(tr) {
+				continue
+			}
+			a := tr[k]
+			if open && a.Write == write && a.Param == param {
+				if addr := l.base[a.Param] + a.Index*int64(a.Bytes); addr == end {
+					end = addr + int64(a.Bytes)
+					continue
+				}
+			}
+			if open {
+				emitRun(start, end, unit, write, emit)
+			}
+			var base int64
+			base, open = l.baseOf(a.Param)
+			if open {
+				write, param = a.Write, a.Param
+				start = base + a.Index*int64(a.Bytes)
+				end = start + int64(a.Bytes)
+			}
+		}
+	}
+	if open {
+		emitRun(start, end, unit, write, emit)
+	}
+}
+
+// emitRun issues the bursts of one run: every unit-aligned unit that
+// the byte range [start, end) touches.
+func emitRun(start, end, unit int64, write bool, emit func(Burst)) {
+	for p := start / unit * unit; p < end; p += unit {
+		emit(Burst{Addr: p, Write: write})
+	}
 }
 
 // Classified summarizes a kernel's coalesced global-memory behaviour per
@@ -118,100 +153,11 @@ func (c *Classified) CoalescingFactor() float64 {
 	return c.RawPerWI / c.BurstsPerWI
 }
 
-// Classify coalesces every work-item trace, maps bursts to banks under
-// the interleaved policy and classifies each against the per-bank row
-// buffer and last-operation state, accumulating per-work-item averages.
-func Classify(traces [][]interp.Access, l Layout, p device.DRAMParams, unitBytes int) *Classified {
-	c := &Classified{WorkItems: len(traces)}
-	if len(traces) == 0 {
-		return c
-	}
-	sim := dram.NewSim(p) // reuse bank/row mapping; timing ignored
-	type bankState struct {
-		hasOpen   bool
-		openRow   int64
-		prevWrite bool
-	}
-	banks := make([]bankState, sim.P.Banks)
-
-	for _, tr := range traces {
-		c.RawPerWI += float64(len(tr))
-		bursts := CoalesceWI(tr, l, unitBytes)
-		c.BurstsPerWI += float64(len(bursts))
-		for _, b := range bursts {
-			bi := sim.BankOf(b.Addr)
-			row := sim.RowOf(b.Addr)
-			st := &banks[bi]
-			hit := st.hasOpen && st.openRow == row
-			pat := patternOf(b.Write, st.prevWrite, hit)
-			c.N[pat]++
-			if b.Write {
-				c.Writes++
-			} else {
-				c.Reads++
-			}
-			st.hasOpen = true
-			st.openRow = row
-			st.prevWrite = b.Write
-		}
-	}
-	n := float64(len(traces))
-	for i := range c.N {
-		c.N[i] /= n
-	}
-	c.BurstsPerWI /= n
-	c.RawPerWI /= n
-	c.Reads /= n
-	c.Writes /= n
-	return c
-}
-
-// InterleaveWG builds one work-group's memory stream in pipeline issue
-// order: with work-item pipelining, all work-items execute the same
-// instruction in adjacent cycles, so the k-th access of every work-item
-// issues before anyone's (k+1)-th. This column-major order is what lets
-// SDAccel coalesce consecutive work-items' unit-stride accesses into
-// 512-bit bursts (the f = unit/width rule of §3.4).
-func InterleaveWG(traces [][]interp.Access) []interp.Access {
-	maxLen := 0
-	for _, tr := range traces {
-		if len(tr) > maxLen {
-			maxLen = len(tr)
-		}
-	}
-	out := make([]interp.Access, 0, maxLen*len(traces))
-	for k := 0; k < maxLen; k++ {
-		for _, tr := range traces {
-			if k < len(tr) {
-				out = append(out, tr[k])
-			}
-		}
-	}
-	return out
-}
-
-// WGBursts groups the profiled work-item traces into work-groups of
-// wgSize, interleaves each group column-major and coalesces it, returning
-// the burst stream of every work-group.
-func WGBursts(traces [][]interp.Access, wgSize int64, l Layout, unitBytes int) [][]Burst {
-	if wgSize <= 0 {
-		wgSize = 1
-	}
-	var out [][]Burst
-	for lo := int64(0); lo < int64(len(traces)); lo += wgSize {
-		hi := lo + wgSize
-		if hi > int64(len(traces)) {
-			hi = int64(len(traces))
-		}
-		stream := InterleaveWG(traces[lo:hi])
-		out = append(out, CoalesceWI(stream, l, unitBytes))
-	}
-	return out
-}
-
-// ClassifyGrouped is Classify with work-group-level (column-major)
-// coalescing: the realistic pipeline issue order. N counts remain
-// per-work-item averages.
+// ClassifyGrouped splits the profiled work-item traces into work-groups
+// of wgSize, coalesces each group in pipeline issue order (CoalesceWG),
+// maps every burst to its bank under the interleaved policy and
+// classifies it against the bank's row buffer and last operation.
+// N counts are per-work-item averages.
 //
 // The first quarter of the profiled groups serve as warm-up: their bursts
 // update the bank state but are not counted, so the short profiling
@@ -222,6 +168,9 @@ func ClassifyGrouped(traces [][]interp.Access, wgSize int64, l Layout, p device.
 	if len(traces) == 0 {
 		return c
 	}
+	if wgSize <= 0 {
+		wgSize = 1
+	}
 	sim := dram.NewSim(p)
 	type bankState struct {
 		hasOpen   bool
@@ -230,46 +179,44 @@ func ClassifyGrouped(traces [][]interp.Access, wgSize int64, l Layout, p device.
 	}
 	banks := make([]bankState, sim.P.Banks)
 
-	groups := WGBursts(traces, wgSize, l, unitBytes)
-	warmup := 0
-	if len(groups) > 1 {
-		warmup = len(groups) / 4
-		if warmup < 1 {
-			warmup = 1
+	nwi := int64(len(traces))
+	groups := (nwi + wgSize - 1) / wgSize
+	warmup := int64(0)
+	if groups > 1 {
+		warmup = max(1, groups/4)
+	}
+	var (
+		count  bool // the current group is past the warm-up
+		bursts int  // bursts of the current group
+	)
+	classify := func(b Burst) {
+		bursts++
+		st := &banks[sim.BankOf(b.Addr)]
+		row := sim.RowOf(b.Addr)
+		if count {
+			c.N[patternOf(b.Write, st.prevWrite, st.hasOpen && st.openRow == row)]++
+			if b.Write {
+				c.Writes++
+			} else {
+				c.Reads++
+			}
 		}
+		st.hasOpen = true
+		st.openRow = row
+		st.prevWrite = b.Write
 	}
 	counted := 0 // work-items in counted groups
-	for gi, bursts := range groups {
-		count := gi >= warmup
+	for gi := int64(0); gi < groups; gi++ {
+		lo := gi * wgSize
+		hi := min(lo+wgSize, nwi)
+		count, bursts = gi >= warmup, 0
+		CoalesceWG(traces[lo:hi], l, unitBytes, classify)
 		if count {
-			lo := int64(gi) * wgSize
-			hi := lo + wgSize
-			if hi > int64(len(traces)) {
-				hi = int64(len(traces))
-			}
 			counted += int(hi - lo)
-			for wi := lo; wi < hi; wi++ {
-				c.RawPerWI += float64(len(traces[wi]))
+			for _, tr := range traces[lo:hi] {
+				c.RawPerWI += float64(len(tr))
 			}
-			c.BurstsPerWI += float64(len(bursts))
-		}
-		for _, b := range bursts {
-			bi := sim.BankOf(b.Addr)
-			row := sim.RowOf(b.Addr)
-			st := &banks[bi]
-			hit := st.hasOpen && st.openRow == row
-			pat := patternOf(b.Write, st.prevWrite, hit)
-			if count {
-				c.N[pat]++
-				if b.Write {
-					c.Writes++
-				} else {
-					c.Reads++
-				}
-			}
-			st.hasOpen = true
-			st.openRow = row
-			st.prevWrite = b.Write
+			c.BurstsPerWI += float64(bursts)
 		}
 	}
 	if counted == 0 {

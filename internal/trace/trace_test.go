@@ -11,15 +11,15 @@ import (
 	"repro/internal/opencl/ast"
 )
 
-func compileKernel(t *testing.T, src, name string) *ir.Func {
-	t.Helper()
+func compileKernel(tb testing.TB, src, name string) *ir.Func {
+	tb.Helper()
 	m, err := irgen.Compile("test.cl", []byte(src), nil)
 	if err != nil {
-		t.Fatalf("compile: %v", err)
+		tb.Fatalf("compile: %v", err)
 	}
 	k := m.Kernel(name)
 	if k == nil {
-		t.Fatalf("kernel %s missing", name)
+		tb.Fatalf("kernel %s missing", name)
 	}
 	return k
 }
@@ -50,13 +50,13 @@ func TestCoalesceUnitStride(t *testing.T) {
 __kernel void k(__global float* a) { a[get_global_id(0)] = 1.0f; }`, "k")
 	p := device.Virtex7().DRAM
 	l := NewLayout(k, map[string]int64{"a": 1024}, p)
-	prm := k.GlobalParams()[0]
+	prm := int32(k.GlobalParams()[0].Index)
 	// One WI writing 16 consecutive floats = 64 bytes = 1 burst.
 	var accs []interp.Access
 	for i := 0; i < 16; i++ {
 		accs = append(accs, interp.Access{Param: prm, Index: int64(i), Bytes: 4, Write: true})
 	}
-	bursts := CoalesceWI(accs, l, 64)
+	bursts := collect([][]interp.Access{accs}, l, 64)
 	if len(bursts) != 1 {
 		t.Fatalf("bursts = %d, want 1 (f = 512/32 = 16)", len(bursts))
 	}
@@ -70,13 +70,13 @@ func TestCoalesceBreaksOnDirectionChange(t *testing.T) {
 __kernel void k(__global float* a) { a[0] = a[1]; }`, "k")
 	p := device.Virtex7().DRAM
 	l := NewLayout(k, map[string]int64{"a": 64}, p)
-	prm := k.GlobalParams()[0]
+	prm := int32(k.GlobalParams()[0].Index)
 	accs := []interp.Access{
 		{Param: prm, Index: 0, Bytes: 4, Write: false},
 		{Param: prm, Index: 1, Bytes: 4, Write: true}, // direction flips
 		{Param: prm, Index: 2, Bytes: 4, Write: false},
 	}
-	bursts := CoalesceWI(accs, l, 64)
+	bursts := collect([][]interp.Access{accs}, l, 64)
 	if len(bursts) != 3 {
 		t.Fatalf("bursts = %d, want 3 (no merging across direction changes)", len(bursts))
 	}
@@ -87,15 +87,35 @@ func TestCoalesceStridedNoMerge(t *testing.T) {
 __kernel void k(__global float* a) { a[0] = 0.0f; }`, "k")
 	p := device.Virtex7().DRAM
 	l := NewLayout(k, map[string]int64{"a": 4096}, p)
-	prm := k.GlobalParams()[0]
+	prm := int32(k.GlobalParams()[0].Index)
 	// Stride-32 floats: 128-byte gaps, no coalescing.
 	var accs []interp.Access
 	for i := 0; i < 8; i++ {
 		accs = append(accs, interp.Access{Param: prm, Index: int64(i * 32), Bytes: 4, Write: false})
 	}
-	bursts := CoalesceWI(accs, l, 64)
+	bursts := collect([][]interp.Access{accs}, l, 64)
 	if len(bursts) != 8 {
 		t.Fatalf("bursts = %d, want 8", len(bursts))
+	}
+}
+
+func TestCoalesceSkipsNonGlobalParams(t *testing.T) {
+	// An access to a parameter with no buffer in the layout is dropped
+	// and ends the open run; it never extends it, even when its address
+	// computed against a missing base would be contiguous.
+	k := compileKernel(t, `
+__kernel void k(__global float* a, int n) { a[0] = (float)n; }`, "k")
+	l := NewLayout(k, map[string]int64{"a": 64}, device.Virtex7().DRAM)
+	a, n := int32(k.Param("a").Index), int32(k.Param("n").Index)
+	accs := []interp.Access{
+		{Param: a, Index: 0, Bytes: 4},
+		{Param: n, Index: 5, Bytes: 1},
+		{Param: a, Index: 1, Bytes: 4},
+	}
+	got := collect([][]interp.Access{accs}, l, 4)
+	want := []Burst{{Addr: 0}, {Addr: 4}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("bursts = %v, want %v", got, want)
 	}
 }
 
@@ -124,7 +144,7 @@ __kernel void k(__global float* a, int n) {
 }`, "k", 256, 64)
 	p := device.Virtex7().DRAM
 	l := NewLayout(k, BufferCounts(k, cfg), p)
-	c := Classify(prof.Traces, l, p, 64)
+	c := ClassifyGrouped(prof.Traces, 1, l, p, 64) // per-work-item coalescing
 	if c.WorkItems != 128 {
 		t.Fatalf("work-items = %d", c.WorkItems)
 	}
@@ -168,7 +188,7 @@ __kernel void k(__global float* a, int n) {
 }`, "k", 64, 4)
 	p := device.Virtex7().DRAM
 	l := NewLayout(k, BufferCounts(k, cfg), p)
-	c := Classify(prof.Traces, l, p, 64)
+	c := ClassifyGrouped(prof.Traces, 1, l, p, 64) // per-work-item coalescing
 	// 64 reads coalesce to 4 bursts + 1 write burst: 65 raw / 5 bursts = 13.
 	if c.CoalescingFactor() < 10 {
 		t.Errorf("coalescing factor = %v, want > 10", c.CoalescingFactor())
@@ -176,15 +196,18 @@ __kernel void k(__global float* a, int n) {
 }
 
 func TestRandomAccessHasMisses(t *testing.T) {
+	// The buffer spans several rows of every bank (a 2 KiB buffer fits
+	// in row 0 of each), so scattered accesses keep missing after the
+	// warm-up groups have opened a row in every bank.
 	k, prof, cfg := runTrace(t, `
 __kernel void k(__global float* a, int n) {
     int i = get_global_id(0);
     int j = (i * 137) % n;
     a[n + j] = a[j * 7 % n];
-}`, "k", 256, 64)
+}`, "k", 4096, 64)
 	p := device.Virtex7().DRAM
 	l := NewLayout(k, BufferCounts(k, cfg), p)
-	c := Classify(prof.Traces, l, p, 64)
+	c := ClassifyGrouped(prof.Traces, 64, l, p, 64)
 	var misses float64
 	for pat := dram.RARMiss; pat <= dram.WAWMiss; pat++ {
 		misses += c.N[pat]
