@@ -10,11 +10,12 @@ import (
 
 // BenchmarkProfileStaticVsInterp times both profiler paths on a few
 // representative kernels (a bandwidth-bound one, a compute-heavy one,
-// and a 2-D stencil) at the prep pipeline's group budget, so the static
-// path's speedup is visible in CI history via benchstat.
+// a 2-D stencil, and covariance, the heaviest static prep key) at the
+// prep pipeline's group budget, so the static path's speedup is visible
+// in CI history via benchstat.
 func BenchmarkProfileStaticVsInterp(b *testing.B) {
 	const groups = 8
-	for _, id := range []string{"backprop/layer", "gemm/gemm", "hotspot/hotspot"} {
+	for _, id := range []string{"backprop/layer", "gemm/gemm", "hotspot/hotspot", "covariance/covar"} {
 		k := bench.FindID(id)
 		if k == nil {
 			b.Fatalf("kernel %s not bundled", id)

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -228,70 +229,85 @@ func (p *Profile) accessString(a Access) string {
 
 // ---- static plan executor ----
 
-// Operand source kinds: where a step reads each operand from.
+// Action codes. Every hot operation has its own code, so runWI
+// dispatches a step with one switch; the operation, compare predicate,
+// storage class, lane count and buffer element kind are all decided
+// when the plan is compiled for a launch.
 const (
-	srcZero uint8 = iota // value never computed by the slice (and never used)
-	srcImm               // immediate: IR constant or launch scalar, resolved at compile
-	srcReg               // slice register
+	// Scalar integer arithmetic without a fault path (div/rem stay
+	// generic for their division-by-zero errors).
+	aAdd uint8 = iota
+	aSub
+	aMul
+	aAnd
+	aOr
+	aXor
+	aShl
+	aLShr
+	aAShr
+	// Scalar float arithmetic.
+	aFAdd
+	aFSub
+	aFMul
+	aFDiv
+	// Scalar compares, one code per predicate in ir.Pred order.
+	aICmpEQ
+	aICmpNE
+	aICmpLT
+	aICmpLE
+	aICmpGT
+	aICmpGE
+	aFCmpEQ
+	aFCmpNE
+	aFCmpLT
+	aFCmpLE
+	aFCmpGT
+	aFCmpGE
+	aTrunc // scalar int→int cast: truncInt to the step's kind
+	// Work-item coordinates; the step's a operand is the dimension.
+	aGlobalID
+	aLocalID
+	aGroupID
+	// Memory steps; the a operand is the index, b a store's value.
+	aLoadParamInt   // traced scalar load from an integer buffer
+	aLoadParamFloat // traced scalar load from a float buffer
+	aLoadParamVec   // traced vector load
+	aReadParam      // traced load whose value the slice never reads
+	aStoreParam     // traced store; buffers stay untouched
+	aAtomicParam    // traced read-modify-write pair
+	aLoadAlloca     // scalar tracked cell
+	aLoadAllocaVec
+	aStoreAlloca // scalar tracked cell
+	aStoreAllocaVec
+	aCheckLoad  // bounds check only: unread alloca load, alloca atomic
+	aCheckStore // bounds check only: store into an untracked alloca
+	aBarrier
+	aGeneric // div/rem, select, calls, vector ops, float casts
 )
 
-// opSrc is one pre-resolved operand: immediates carry their value,
-// register operands their dense slot — the hot loop never touches a map
-// or a type switch to read an operand.
-type opSrc struct {
-	v    Val
-	reg  int32
-	kind uint8
+// scalarActs maps the scalar arithmetic ops that have their own code.
+var scalarActs = map[ir.Op]uint8{
+	ir.OpAdd: aAdd, ir.OpSub: aSub, ir.OpMul: aMul,
+	ir.OpAnd: aAnd, ir.OpOr: aOr, ir.OpXor: aXor,
+	ir.OpShl: aShl, ir.OpLShr: aLShr, ir.OpAShr: aAShr,
+	ir.OpFAdd: aFAdd, ir.OpFSub: aFSub, ir.OpFMul: aFMul, ir.OpFDiv: aFDiv,
 }
 
-// Step action kinds: the per-step dispatch is numeric, with the memory
-// target's storage class decided at compile time.
-const (
-	aCompute uint8 = iota
-	aBarrier
-	aLoadParam
-	aLoadAlloca
-	aStoreParam
-	aStoreAlloca
-	aAtomicParam
-	aAtomicAlloca
-	aWorkItem
-	aIntArith   // scalar integer arithmetic without a fault path
-	aFloatArith // scalar float arithmetic
-	aCmp        // scalar comparison
-)
-
-// Work-item query kinds. Queries that depend only on the NDRange fold
-// to immediates at compile time (wiConst).
-const (
-	wiGlobalID uint8 = iota
-	wiLocalID
-	wiGroupID
-	wiConst
-)
-
-// planStep is one pre-resolved executor step.
+// planStep is one compiled executor step. Operands are slots of the
+// executor's register file.
 type planStep struct {
-	in   *ir.Instr
-	args []opSrc
-	reg  int32 // result register, -1 when the value is not in the slice
-
-	// Memory access pre-resolution (aLoad*/aStore*/aAtomic*).
-	prm   *ir.Param // access target for the trace
-	buf   *Buffer   // bound buffer (param accesses)
-	cells []Val     // tracked alloca contents (nil: bounds-check only)
-	count int64     // alloca cell count
-	lanes int64     // element lanes of the access
-	bytes uint16    // traced bytes of the access
-
-	// Work-item query pre-resolution (aWorkItem).
-	wi    uint8
-	dim   int
-	wiVal int64 // immediate for wiConst
-
-	castFrom ast.Type // source type of an OpCast
-
-	act uint8
+	act   uint8
+	bytes uint16       // traced bytes of a param access
+	kind  ast.BaseKind // aTrunc target kind
+	dst   int32        // result slot; the sink when nothing reads it
+	a, b  int32        // operand slots
+	param int32        // traced parameter ordinal
+	lanes int64        // element lanes of a memory access
+	lim   int64        // scalar cells of the accessed buffer or alloca
+	cells []Val        // tracked alloca contents
+	buf   *Buffer      // bound buffer of a param access
+	in    *ir.Instr    // aGeneric evaluation and error messages
+	args  []int32      // aGeneric: every operand slot
 }
 
 // Terminator kinds.
@@ -310,20 +326,24 @@ type blockPlan struct {
 	steps   []planStep
 	term    uint8
 	to, els *blockPlan
-	cond    opSrc
+	cond    int32
 }
 
 // planExec executes the profile slice of one plan. One instance serves
 // a whole profiling run; all mutable state is reset per work-item.
 type planExec struct {
-	plan  *static.Plan
-	cfg   *Config
-	nd    NDRange
-	entry *blockPlan
+	nd     NDRange
+	blocks []*ir.Block
+	entry  *blockPlan
 
 	group, local, global [3]int64
 
+	// regs is the register file: the plan's SSA registers (the first
+	// nSSA slots, reset per work-item), one sink slot for results
+	// nothing reads, then the constants and launch scalars, filled once
+	// at compile time.
 	regs     []Val
+	nSSA     int
 	tracked  [][]Val // cell slices, for the per-work-item reset
 	counts   []int64 // per-block visit counts of the current work-item
 	gCounts  []float64
@@ -335,148 +355,455 @@ type planExec struct {
 
 func newPlanExec(p *static.Plan, cfg *Config, nd NDRange) *planExec {
 	x := &planExec{
-		plan:    p,
-		cfg:     cfg,
 		nd:      nd,
-		regs:    make([]Val, p.NumRegs),
+		blocks:  p.Fn.Blocks,
+		regs:    make([]Val, p.NumRegs+1),
+		nSSA:    p.NumRegs,
 		counts:  make([]int64, len(p.Fn.Blocks)),
 		gCounts: make([]float64, len(p.Fn.Blocks)),
 	}
-	cells := make(map[*ir.Alloca][]Val, len(p.TrackedAllocas))
+	c := &planCompiler{
+		x:      x,
+		plan:   p,
+		cfg:    cfg,
+		cells:  make(map[*ir.Alloca][]Val, len(p.TrackedAllocas)),
+		alias:  make(map[*ir.Instr]ir.Value),
+		consts: make(map[[2]uint64]int32),
+		params: make(map[*ir.Param]int32),
+	}
 	for a := range p.TrackedAllocas {
-		c := make([]Val, a.Count*int64(a.Elem.Lanes()))
-		cells[a] = c
-		x.tracked = append(x.tracked, c)
+		cells := make([]Val, a.Count*int64(a.Elem.Lanes()))
+		c.cells[a] = cells
+		x.tracked = append(x.tracked, cells)
 	}
 
-	// Two passes: allocate every block plan first so branch targets can
-	// link directly.
+	// Pass 1 decides, block by block, which steps run and which results
+	// fold into another value. Pass 2 emits the steps, when every alias
+	// is known whatever the block order. Block plans are allocated
+	// first so branch targets can link directly.
+	kept := make([][]*ir.Instr, len(p.Fn.Blocks))
 	plans := make(map[*ir.Block]*blockPlan, len(p.Fn.Blocks))
-	for _, b := range p.Fn.Blocks {
+	for i, b := range p.Fn.Blocks {
+		kept[i] = c.peephole(b, p.Steps[b])
 		plans[b] = &blockPlan{idx: p.BlockIndex[b], nInstr: int64(len(b.Instrs))}
 	}
-	for _, b := range p.Fn.Blocks {
+	for i, b := range p.Fn.Blocks {
 		bp := plans[b]
-		for _, in := range p.Steps[b] {
-			if in.Op.IsTerminator() {
-				switch in.Op {
-				case ir.OpBr:
-					bp.term, bp.to = tBr, plans[in.To]
-				case ir.OpCondBr:
-					bp.term, bp.to, bp.els = tCondBr, plans[in.To], plans[in.Else]
-					bp.cond = x.compileSrc(in.Args[0])
-				case ir.OpRet:
-					bp.term = tRet
-				}
-				continue
+		for _, in := range kept[i] {
+			switch in.Op {
+			case ir.OpBr:
+				bp.term, bp.to = tBr, plans[in.To]
+			case ir.OpCondBr:
+				bp.term, bp.to, bp.els = tCondBr, plans[in.To], plans[in.Else]
+				bp.cond = c.slot(in.Args[0])
+			case ir.OpRet:
+				bp.term = tRet
+			default:
+				bp.steps = append(bp.steps, c.step(in))
 			}
-			bp.steps = append(bp.steps, x.compileStep(in, cells))
 		}
 	}
 	x.entry = plans[p.Fn.Entry()]
 	return x
 }
 
-// compileSrc resolves one operand to its source.
-func (x *planExec) compileSrc(v ir.Value) opSrc {
-	switch t := v.(type) {
-	case *ir.Const:
-		if t.T.Base.IsFloat() {
-			return opSrc{kind: srcImm, v: FloatVal(t.F)}
-		}
-		return opSrc{kind: srcImm, v: IntVal(t.I)}
-	case *ir.Param:
-		return opSrc{kind: srcImm, v: x.cfg.Scalars[t.PName]} // presence validated up front
-	case *ir.Instr:
-		if ri, ok := x.plan.RegIndex[t]; ok {
-			return opSrc{kind: srcReg, reg: int32(ri)}
-		}
-	}
-	return opSrc{kind: srcZero}
+// planCompiler holds the state of compiling one plan for one launch.
+type planCompiler struct {
+	x      *planExec
+	plan   *static.Plan
+	cfg    *Config
+	cells  map[*ir.Alloca][]Val   // tracked alloca contents
+	alias  map[*ir.Instr]ir.Value // folded instructions: the value each equals
+	consts map[[2]uint64]int32    // scalar constant (I, F bits) → slot
+	params map[*ir.Param]int32    // launch scalar → slot
+	plain  map[*ir.Alloca]bool    // see plainCells; nil until first asked
 }
 
-// compileStep pre-resolves one non-terminator step.
-func (x *planExec) compileStep(in *ir.Instr, cells map[*ir.Alloca][]Val) planStep {
-	st := planStep{in: in, reg: -1, act: aCompute}
-	if ri, ok := x.plan.RegIndex[in]; ok {
-		st.reg = int32(ri)
+// peephole is the per-block pre-pass. It drops steps that cannot
+// affect the profile and folds results into operand aliases. Each
+// rewrite keeps the profile, the traces and every error string bitwise
+// equal to running the step:
+//
+//   - Dead alloca steps. An alloca access whose index is an integer
+//     constant in [0, Count) cannot fault. Three such accesses have no
+//     other effect the slice can see, so they are dropped: a load whose
+//     result is not in the slice, a store into an untracked alloca, and
+//     an atomic on an alloca (tracked allocas have no atomics, and the
+//     executor never models an untracked cell).
+//   - Forwarded cell loads. A constant-index load of a scalar tracked
+//     cell returns the Val the cell's latest store in this block wrote,
+//     or its latest load read. When that value is a constant or a slot
+//     defined earlier in this block, the load becomes an alias of it:
+//     a block runs to completion and each slot has one writer, so the
+//     slot still holds the value at every later use in the block. An
+//     atomic, or a store with a non-constant index, forgets the whole
+//     alloca; a store of any other value forgets the cell.
+//   - Aliases. A scalar integer→long/ulong cast returns IntVal(v.I),
+//     and truncInt is the identity at 64 bits, so the cast is its
+//     operand whenever the operand always holds a plain integer (see
+//     plainInt). An NDRange-only work-item query is a launch constant.
+//
+// The step guard still adds each block's full instruction count, so
+// runaway-loop detection and its error are unchanged.
+func (c *planCompiler) peephole(b *ir.Block, steps []*ir.Instr) []*ir.Instr {
+	type cell struct {
+		a *ir.Alloca
+		i int64
 	}
-	st.args = make([]opSrc, len(in.Args))
-	for i, a := range in.Args {
-		st.args[i] = x.compileSrc(a)
+	fwd := make(map[cell]ir.Value)
+	forget := func(a *ir.Alloca) {
+		for k := range fwd {
+			if k.a == a {
+				delete(fwd, k)
+			}
+		}
+	}
+	var kept []*ir.Instr
+	defined := make(map[*ir.Instr]bool) // kept steps of this block so far
+	local := func(v ir.Value) bool {
+		for {
+			in, ok := v.(*ir.Instr)
+			if !ok {
+				return true // constant or launch scalar
+			}
+			if defined[in] {
+				return true
+			}
+			av, ok := c.alias[in]
+			if !ok || in.Blk != b {
+				return false
+			}
+			v = av
+		}
+	}
+	for _, in := range steps {
+		switch in.Op {
+		case ir.OpLoad:
+			a, ok := in.Mem.(*ir.Alloca)
+			if !ok {
+				break
+			}
+			i, ok := c.constIndex(a, in.Args[0])
+			if !ok {
+				break
+			}
+			if !c.plan.Need[in] {
+				continue
+			}
+			if a.Elem.Lanes() == 1 && in.T.Lanes() == 1 {
+				k := cell{a, i}
+				if v, ok := fwd[k]; ok {
+					c.alias[in] = v
+					continue
+				}
+				fwd[k] = in
+			}
+		case ir.OpStore:
+			a, ok := in.Mem.(*ir.Alloca)
+			if !ok {
+				break
+			}
+			i, ok := c.constIndex(a, in.Args[0])
+			switch {
+			case !ok:
+				forget(a)
+			case c.cells[a] == nil:
+				continue
+			case a.Elem.Lanes() == 1 && local(in.Args[1]):
+				fwd[cell{a, i}] = in.Args[1]
+			default:
+				delete(fwd, cell{a, i})
+			}
+		case ir.OpAtomic:
+			if a, ok := in.Mem.(*ir.Alloca); ok {
+				forget(a)
+				if _, ok := c.constIndex(a, in.Args[0]); ok {
+					continue
+				}
+			}
+		case ir.OpCast:
+			if c.identityCast(in) {
+				c.alias[in] = in.Args[0]
+				continue
+			}
+		case ir.OpWorkItem:
+			switch in.Fn {
+			case "get_global_id", "get_local_id", "get_group_id":
+			default:
+				n, _ := workItemVal(in.Fn, in.Dim, c.x.nd, [3]int64{}, [3]int64{}, [3]int64{})
+				c.alias[in] = &ir.Const{T: ast.Scalar(ast.KLong), I: n}
+				continue
+			}
+		}
+		kept = append(kept, in)
+		defined[in] = true
+	}
+	return kept
+}
+
+// constVal resolves v through the aliases known so far to a constant
+// or launch scalar.
+func (c *planCompiler) constVal(v ir.Value) (Val, bool) {
+	for {
+		switch t := v.(type) {
+		case *ir.Const:
+			return constOf(t), true
+		case *ir.Param:
+			return c.cfg.Scalars[t.PName], true
+		case *ir.Instr:
+			if av, ok := c.alias[t]; ok {
+				v = av
+				continue
+			}
+		}
+		return Val{}, false
+	}
+}
+
+// constIndex returns the value of idx when it is an integer constant
+// in [0, a.Count): an access there cannot fault.
+func (c *planCompiler) constIndex(a *ir.Alloca, idx ir.Value) (int64, bool) {
+	v, ok := c.constVal(idx)
+	return v.I, ok && v.I >= 0 && v.I < a.Count
+}
+
+// identityCast reports whether cast in returns its operand's Val
+// unchanged: a scalar integer→long/ulong cast of a plain integer.
+func (c *planCompiler) identityCast(in *ir.Instr) bool {
+	to := in.T
+	return !to.IsVector() && (to.Base == ast.KLong || to.Base == ast.KULong) &&
+		!in.Args[0].Type().Base.IsFloat() && c.plainInt(in.Args[0])
+}
+
+// plainInt reports whether v always evaluates to a plain integer — a
+// Val with F == 0 and Vec == nil, the form castVal rebuilds — so that
+// aliasing an identity cast to v keeps the Val bitwise equal. Only a
+// launch scalar or a type-confused buffer can introduce anything else
+// (an int argument bound as FloatVal, an int pointer bound to a float
+// buffer); the check follows values through private cells.
+func (c *planCompiler) plainInt(v ir.Value) bool {
+	switch t := v.(type) {
+	case *ir.Const:
+		return !t.T.Base.IsFloat()
+	case *ir.Param:
+		s := c.cfg.Scalars[t.PName]
+		return s.F == 0 && s.Vec == nil
+	case *ir.Instr:
+		if t.T.IsVector() {
+			return false
+		}
+		switch t.Op {
+		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
+			ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpLShr, ir.OpAShr,
+			ir.OpICmp, ir.OpFCmp, ir.OpWorkItem:
+			return true
+		case ir.OpCast:
+			return !t.T.Base.IsFloat()
+		case ir.OpLoad:
+			switch m := t.Mem.(type) {
+			case *ir.Param:
+				buf := c.cfg.Buffers[m.PName]
+				return buf != nil && !buf.Elem.Base.IsFloat()
+			case *ir.Alloca:
+				return c.plainCells(m)
+			}
+		}
+	}
+	return false
+}
+
+// plainCells reports whether a's cells only ever hold plain integers.
+// Cells start zeroed; the set of plain allocas is the greatest fixpoint
+// in which every store into a plain scalar alloca stores a plain value.
+func (c *planCompiler) plainCells(a *ir.Alloca) bool {
+	if c.plain == nil {
+		c.plain = make(map[*ir.Alloca]bool)
+		var stores []*ir.Instr
+		for _, b := range c.plan.Fn.Blocks {
+			for _, in := range b.Instrs {
+				if s, ok := in.Mem.(*ir.Alloca); ok && in.Op == ir.OpStore {
+					c.plain[s] = !s.Elem.IsVector()
+					stores = append(stores, in)
+				}
+			}
+		}
+		for changed := true; changed; {
+			changed = false
+			for _, st := range stores {
+				s := st.Mem.(*ir.Alloca)
+				if c.plain[s] && !c.plainInt(st.Args[1]) {
+					c.plain[s], changed = false, true
+				}
+			}
+		}
+	}
+	p, stored := c.plain[a]
+	return p || !stored
+}
+
+func constOf(k *ir.Const) Val {
+	if k.T.Base.IsFloat() {
+		return FloatVal(k.F)
+	}
+	return IntVal(k.I)
+}
+
+// slot resolves an operand to its register-file slot.
+func (c *planCompiler) slot(v ir.Value) int32 {
+	for {
+		switch t := v.(type) {
+		case *ir.Const:
+			return c.constSlot(constOf(t))
+		case *ir.Param:
+			s, ok := c.params[t]
+			if !ok {
+				s = c.newSlot(c.cfg.Scalars[t.PName]) // presence validated up front
+				c.params[t] = s
+			}
+			return s
+		case *ir.Instr:
+			if av, ok := c.alias[t]; ok {
+				v = av
+				continue
+			}
+			if ri, ok := c.plan.RegIndex[t]; ok {
+				return int32(ri)
+			}
+		}
+		return c.constSlot(Val{}) // never computed by the slice, never read
+	}
+}
+
+func (c *planCompiler) constSlot(v Val) int32 {
+	k := [2]uint64{uint64(v.I), math.Float64bits(v.F)}
+	s, ok := c.consts[k]
+	if !ok {
+		s = c.newSlot(v)
+		c.consts[k] = s
+	}
+	return s
+}
+
+func (c *planCompiler) newSlot(v Val) int32 {
+	c.x.regs = append(c.x.regs, v)
+	return int32(len(c.x.regs) - 1)
+}
+
+// step compiles one kept non-terminator instruction.
+func (c *planCompiler) step(in *ir.Instr) planStep {
+	st := planStep{in: in, act: aGeneric, dst: int32(c.x.nSSA)}
+	if ri, ok := c.plan.RegIndex[in]; ok {
+		st.dst = int32(ri)
+	}
+	scalar := !in.T.IsVector()
+	if act, ok := scalarActs[in.Op]; ok && scalar {
+		st.act, st.a, st.b = act, c.slot(in.Args[0]), c.slot(in.Args[1])
+		return st
 	}
 	switch in.Op {
-	case ir.OpBarrier:
-		st.act = aBarrier
-	case ir.OpAdd, ir.OpSub, ir.OpMul,
-		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpLShr, ir.OpAShr:
-		// Scalar integer ops have no fault path (Div/Rem stay on the
-		// generic path for their division-by-zero errors) and dominate
-		// address arithmetic — worth an inline fast path.
-		if !in.T.IsVector() {
-			st.act = aIntArith
-		}
-	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
-		if !in.T.IsVector() {
-			st.act = aFloatArith
-		}
 	case ir.OpICmp, ir.OpFCmp:
-		if !in.T.IsVector() {
-			st.act = aCmp
+		if scalar && in.Pr >= ir.PredEQ && in.Pr <= ir.PredGE {
+			st.act = aICmpEQ + uint8(in.Pr)
+			if in.Op == ir.OpFCmp {
+				st.act = aFCmpEQ + uint8(in.Pr)
+			}
+			st.a, st.b = c.slot(in.Args[0]), c.slot(in.Args[1])
+			return st
 		}
 	case ir.OpCast:
-		st.castFrom = in.Args[0].Type()
-	case ir.OpLoad:
-		st.lanes = int64(in.T.Lanes())
-		st.bytes = uint16(in.T.ElemSize())
-		switch s := in.Mem.(type) {
-		case *ir.Param:
-			st.act, st.prm, st.buf = aLoadParam, s, x.cfg.Buffers[s.PName]
-		case *ir.Alloca:
-			st.act, st.count = aLoadAlloca, s.Count
-			st.cells = cells[s]
-		}
-	case ir.OpStore:
-		switch s := in.Mem.(type) {
-		case *ir.Param:
-			t := s.Elem()
-			st.act, st.prm, st.buf = aStoreParam, s, x.cfg.Buffers[s.PName]
-			st.lanes, st.bytes = int64(t.Lanes()), uint16(t.ElemSize())
-		case *ir.Alloca:
-			st.act, st.count = aStoreAlloca, s.Count
-			st.lanes = int64(s.Elem.Lanes())
-			st.cells = cells[s]
-		}
-	case ir.OpAtomic:
-		switch s := in.Mem.(type) {
-		case *ir.Param:
-			t := s.Elem()
-			st.act, st.prm, st.buf = aAtomicParam, s, x.cfg.Buffers[s.PName]
-			st.lanes, st.bytes = int64(t.Lanes()), uint16(t.ElemSize())
-		case *ir.Alloca:
-			st.act, st.count = aAtomicAlloca, s.Count
-			st.lanes = int64(s.Elem.Lanes())
+		if scalar && !in.T.Base.IsFloat() && !in.Args[0].Type().Base.IsFloat() {
+			st.act, st.kind, st.a = aTrunc, in.T.Base, c.slot(in.Args[0])
+			return st
 		}
 	case ir.OpWorkItem:
-		st.act = aWorkItem
-		st.dim = in.Dim
-		if st.dim < 0 || st.dim > 2 {
-			st.dim = 0
-		}
 		switch in.Fn {
 		case "get_global_id":
-			st.wi = wiGlobalID
+			st.act = aGlobalID
 		case "get_local_id":
-			st.wi = wiLocalID
-		case "get_group_id":
-			st.wi = wiGroupID
-		default:
-			// NDRange-only queries are launch constants.
-			n, _ := workItemVal(in.Fn, in.Dim, x.nd, [3]int64{}, [3]int64{}, [3]int64{})
-			st.wi, st.wiVal = wiConst, n
+			st.act = aLocalID
+		default: // get_group_id; NDRange-only queries were folded
+			st.act = aGroupID
 		}
+		if in.Dim >= 0 && in.Dim <= 2 {
+			st.a = int32(in.Dim)
+		}
+		return st
+	case ir.OpBarrier:
+		st.act = aBarrier
+		return st
+	case ir.OpLoad:
+		st.a, st.lanes = c.slot(in.Args[0]), int64(in.T.Lanes())
+		need := c.plan.Need[in]
+		switch s := in.Mem.(type) {
+		case *ir.Param:
+			c.paramAccess(&st, s, in.T)
+			switch {
+			case !need:
+				st.act = aReadParam
+			case st.lanes > 1:
+				st.act = aLoadParamVec
+			case st.buf.Elem.Base.IsFloat():
+				st.act = aLoadParamFloat
+			default:
+				st.act = aLoadParamInt
+			}
+		case *ir.Alloca:
+			st.lim, st.cells = s.Count*st.lanes, c.cells[s]
+			switch {
+			case !need:
+				st.act = aCheckLoad
+			case st.lanes > 1:
+				st.act = aLoadAllocaVec
+			default:
+				st.act = aLoadAlloca
+			}
+		}
+		return st
+	case ir.OpStore:
+		st.a, st.b = c.slot(in.Args[0]), c.slot(in.Args[1])
+		switch s := in.Mem.(type) {
+		case *ir.Param:
+			c.paramAccess(&st, s, s.Elem())
+			st.act = aStoreParam
+		case *ir.Alloca:
+			st.lanes = int64(s.Elem.Lanes())
+			st.lim, st.cells = s.Count*st.lanes, c.cells[s]
+			switch {
+			case st.cells == nil:
+				st.act = aCheckStore
+			case st.lanes > 1:
+				st.act = aStoreAllocaVec
+			default:
+				st.act = aStoreAlloca
+			}
+		}
+		return st
+	case ir.OpAtomic:
+		// The analyzer declines kernels that consume an atomic's
+		// result, so the step only traces and bounds-checks.
+		st.a = c.slot(in.Args[0])
+		switch s := in.Mem.(type) {
+		case *ir.Param:
+			c.paramAccess(&st, s, s.Elem())
+			st.act = aAtomicParam
+		case *ir.Alloca:
+			st.lanes = int64(s.Elem.Lanes())
+			st.lim, st.act = s.Count*st.lanes, aCheckLoad
+		}
+		return st
+	}
+	st.args = make([]int32, len(in.Args))
+	for i, a := range in.Args {
+		st.args[i] = c.slot(a)
 	}
 	return st
+}
+
+// paramAccess fills the buffer fields of a param access of type t.
+func (c *planCompiler) paramAccess(st *planStep, s *ir.Param, t ast.Type) {
+	st.buf = c.cfg.Buffers[s.PName]
+	st.param, st.bytes = int32(s.Index), uint16(t.ElemSize())
+	st.lanes, st.lim = int64(t.Lanes()), int64(st.buf.Len())
 }
 
 // runPlan profiles the sampled work-groups of a launch by executing
@@ -520,17 +847,23 @@ loop:
 // runGroup executes every work-item of one group. Like the
 // interpreter, a group contributes to the profile only when every one
 // of its work-items completes.
+//
+// A faulting group fails with the interpreter's error too. There the
+// work-items run in barrier lockstep, and the first fault aborts the
+// group at its next barrier: the group fails in the earliest barrier
+// phase any work-item faults in, with the error of the first such
+// work-item in dispatch order. So the executor runs every work-item
+// and keeps that error.
 func (x *planExec) runGroup(group [3]int64, prof *Profile) error {
 	x.group = group
 	nd := x.nd
-	blocks := x.plan.Fn.Blocks
 
 	gWIs := 0
 	gBarriers := 0.0
-	for i := range x.gCounts {
-		x.gCounts[i] = 0
-	}
+	clear(x.gCounts)
 	var gTraces [][]Access
+	var gErr error
+	errPhase := 0
 
 	for lz := int64(0); lz < nd.Local[2]; lz++ {
 		for ly := int64(0); ly < nd.Local[1]; ly++ {
@@ -542,7 +875,13 @@ func (x *planExec) runGroup(group [3]int64, prof *Profile) error {
 					group[2]*nd.Local[2] + lz,
 				}
 				if err := x.runWI(); err != nil {
-					return err
+					if gErr == nil || x.barriers < errPhase {
+						gErr, errPhase = err, x.barriers
+					}
+					continue
+				}
+				if gErr != nil {
+					continue
 				}
 				gWIs++
 				for bi, c := range x.counts {
@@ -557,11 +896,14 @@ func (x *planExec) runGroup(group [3]int64, prof *Profile) error {
 			}
 		}
 	}
+	if gErr != nil {
+		return gErr
+	}
 
 	prof.WorkItems += gWIs
 	for bi, c := range x.gCounts {
 		if c != 0 {
-			prof.BlockCounts[blocks[bi]] += c
+			prof.BlockCounts[x.blocks[bi]] += c
 		}
 	}
 	prof.Barriers += gBarriers
@@ -569,19 +911,16 @@ func (x *planExec) runGroup(group [3]int64, prof *Profile) error {
 	return nil
 }
 
-// runWI executes the slice for one work-item.
+// runWI executes the slice for one work-item. Each step is dispatched
+// by one switch on its action code; every case mirrors the shared
+// evaluator (scalarArithVal, compareVal, castVal, loadElem, storeElem)
+// it replaces, minus the type switches and error plumbing.
 func (x *planExec) runWI() error {
-	for i := range x.regs {
-		x.regs[i] = Val{}
-	}
+	clear(x.regs[:x.nSSA])
 	for _, cells := range x.tracked {
-		for i := range cells {
-			cells[i] = Val{}
-		}
+		clear(cells)
 	}
-	for i := range x.counts {
-		x.counts[i] = 0
-	}
+	clear(x.counts)
 	x.barriers = 0
 	x.steps = 0
 	// Preallocate the trace at the previous work-item's length — the
@@ -595,6 +934,7 @@ func (x *planExec) runWI() error {
 		x.accesses = nil
 	}
 
+	regs := x.regs
 	bp := x.entry
 	for {
 		x.counts[bp.idx]++
@@ -603,15 +943,151 @@ func (x *planExec) runWI() error {
 			return fmt.Errorf("interp: work-item exceeded %d steps (infinite loop?)", profStepLimit)
 		}
 		for i := range bp.steps {
-			if err := x.step(&bp.steps[i]); err != nil {
-				return err
+			st := &bp.steps[i]
+			switch st.act {
+			case aAdd:
+				regs[st.dst] = Val{I: regs[st.a].I + regs[st.b].I}
+			case aSub:
+				regs[st.dst] = Val{I: regs[st.a].I - regs[st.b].I}
+			case aMul:
+				regs[st.dst] = Val{I: regs[st.a].I * regs[st.b].I}
+			case aAnd:
+				regs[st.dst] = Val{I: regs[st.a].I & regs[st.b].I}
+			case aOr:
+				regs[st.dst] = Val{I: regs[st.a].I | regs[st.b].I}
+			case aXor:
+				regs[st.dst] = Val{I: regs[st.a].I ^ regs[st.b].I}
+			case aShl:
+				regs[st.dst] = Val{I: regs[st.a].I << uint(regs[st.b].I&63)}
+			case aLShr:
+				regs[st.dst] = Val{I: int64(uint64(regs[st.a].I) >> uint(regs[st.b].I&63))}
+			case aAShr:
+				regs[st.dst] = Val{I: regs[st.a].I >> uint(regs[st.b].I&63)}
+			case aFAdd:
+				regs[st.dst] = Val{F: regs[st.a].F + regs[st.b].F}
+			case aFSub:
+				regs[st.dst] = Val{F: regs[st.a].F - regs[st.b].F}
+			case aFMul:
+				regs[st.dst] = Val{F: regs[st.a].F * regs[st.b].F}
+			case aFDiv:
+				regs[st.dst] = Val{F: regs[st.a].F / regs[st.b].F}
+			case aICmpEQ:
+				regs[st.dst] = boolVal(regs[st.a].I == regs[st.b].I)
+			case aICmpNE:
+				regs[st.dst] = boolVal(regs[st.a].I != regs[st.b].I)
+			case aICmpLT:
+				regs[st.dst] = boolVal(regs[st.a].I < regs[st.b].I)
+			case aICmpLE:
+				regs[st.dst] = boolVal(regs[st.a].I <= regs[st.b].I)
+			case aICmpGT:
+				regs[st.dst] = boolVal(regs[st.a].I > regs[st.b].I)
+			case aICmpGE:
+				regs[st.dst] = boolVal(regs[st.a].I >= regs[st.b].I)
+			case aFCmpEQ:
+				regs[st.dst] = boolVal(regs[st.a].F == regs[st.b].F)
+			case aFCmpNE:
+				regs[st.dst] = boolVal(regs[st.a].F != regs[st.b].F)
+			case aFCmpLT:
+				regs[st.dst] = boolVal(regs[st.a].F < regs[st.b].F)
+			case aFCmpLE:
+				regs[st.dst] = boolVal(regs[st.a].F <= regs[st.b].F)
+			case aFCmpGT:
+				regs[st.dst] = boolVal(regs[st.a].F > regs[st.b].F)
+			case aFCmpGE:
+				regs[st.dst] = boolVal(regs[st.a].F >= regs[st.b].F)
+			case aTrunc:
+				regs[st.dst] = Val{I: truncInt(regs[st.a].I, st.kind)}
+			case aGlobalID:
+				regs[st.dst] = Val{I: x.global[st.a]}
+			case aLocalID:
+				regs[st.dst] = Val{I: x.local[st.a]}
+			case aGroupID:
+				regs[st.dst] = Val{I: x.group[st.a]}
+			case aLoadParamInt, aLoadParamFloat, aLoadParamVec, aReadParam:
+				idx := regs[st.a].I
+				base := idx * st.lanes
+				if base < 0 || base+st.lanes > st.lim {
+					return st.outOfBounds("load", idx)
+				}
+				x.accesses = append(x.accesses, Access{
+					Param: st.param, Index: idx, Bytes: st.bytes, Write: false,
+				})
+				switch st.act {
+				case aLoadParamInt:
+					regs[st.dst] = Val{I: st.buf.I[base]}
+				case aLoadParamFloat:
+					regs[st.dst] = Val{F: st.buf.F[base]}
+				case aLoadParamVec:
+					regs[st.dst] = readBufPlain(st.buf, base, st.lanes)
+				}
+			case aStoreParam:
+				// Global buffers are left untouched — no statically
+				// analyzable kernel reads back what it wrote (that is
+				// the analyzability criterion) — so the store only
+				// traces and bounds-checks.
+				idx := regs[st.a].I
+				base := idx * st.lanes
+				if base < 0 || base+st.lanes > st.lim {
+					return st.outOfBounds("store", idx)
+				}
+				x.accesses = append(x.accesses, Access{
+					Param: st.param, Index: idx, Bytes: st.bytes, Write: true,
+				})
+			case aAtomicParam:
+				idx := regs[st.a].I
+				base := idx * st.lanes
+				if base < 0 || base+st.lanes > st.lim {
+					return st.outOfBounds("load", idx)
+				}
+				x.accesses = append(x.accesses,
+					Access{Param: st.param, Index: idx, Bytes: st.bytes, Write: false},
+					Access{Param: st.param, Index: idx, Bytes: st.bytes, Write: true})
+			case aLoadAlloca, aLoadAllocaVec, aCheckLoad:
+				idx := regs[st.a].I
+				base := idx * st.lanes
+				if base < 0 || base+st.lanes > st.lim {
+					return st.outOfBounds("load", idx)
+				}
+				switch st.act {
+				case aLoadAlloca:
+					regs[st.dst] = st.cells[base]
+				case aLoadAllocaVec:
+					out := Val{Vec: make([]Val, st.lanes)}
+					copy(out.Vec, st.cells[base:base+st.lanes])
+					regs[st.dst] = out
+				}
+			case aStoreAlloca, aStoreAllocaVec, aCheckStore:
+				idx := regs[st.a].I
+				base := idx * st.lanes
+				if base < 0 || base+st.lanes > st.lim {
+					return st.outOfBounds("store", idx)
+				}
+				switch st.act {
+				case aStoreAlloca:
+					st.cells[base] = regs[st.b]
+				case aStoreAllocaVec:
+					v := regs[st.b]
+					for i := int64(0); i < st.lanes; i++ {
+						st.cells[base+i] = lane(v, int(i))
+					}
+				}
+			case aBarrier:
+				// No synchronization: nothing in the slice crosses
+				// work-items.
+				x.barriers++
+			default: // aGeneric
+				v, err := x.generic(st)
+				if err != nil {
+					return err
+				}
+				regs[st.dst] = v
 			}
 		}
 		switch bp.term {
 		case tBr:
 			bp = bp.to
 		case tCondBr:
-			if truthy(x.src(bp.cond)) {
+			if truthy(regs[bp.cond]) {
 				bp = bp.to
 			} else {
 				bp = bp.els
@@ -622,259 +1098,51 @@ func (x *planExec) runWI() error {
 	}
 }
 
-// src reads one pre-resolved operand.
-func (x *planExec) src(s opSrc) Val {
-	if s.kind == srcReg {
-		return x.regs[s.reg]
+func boolVal(b bool) Val {
+	if b {
+		return Val{I: 1}
 	}
-	return s.v
+	return Val{}
 }
 
-// step executes one non-terminator slice step.
-func (x *planExec) step(st *planStep) error {
-	switch st.act {
-	case aBarrier:
-		// No synchronization: nothing in the slice crosses work-items.
-		x.barriers++
-		return nil
-	case aWorkItem:
-		if st.reg >= 0 {
-			var n int64
-			switch st.wi {
-			case wiGlobalID:
-				n = x.global[st.dim]
-			case wiLocalID:
-				n = x.local[st.dim]
-			case wiGroupID:
-				n = x.group[st.dim]
-			default:
-				n = st.wiVal
-			}
-			x.regs[st.reg] = IntVal(n)
-		}
-		return nil
-	case aIntArith:
-		// Mirrors scalarArithVal's integer cases exactly (64-bit, no
-		// width truncation) minus the call and error plumbing.
-		a, b := x.src(st.args[0]), x.src(st.args[1])
-		var n int64
-		switch st.in.Op {
-		case ir.OpAdd:
-			n = a.I + b.I
-		case ir.OpSub:
-			n = a.I - b.I
-		case ir.OpMul:
-			n = a.I * b.I
-		case ir.OpAnd:
-			n = a.I & b.I
-		case ir.OpOr:
-			n = a.I | b.I
-		case ir.OpXor:
-			n = a.I ^ b.I
-		case ir.OpShl:
-			n = a.I << uint(b.I&63)
-		case ir.OpLShr:
-			n = int64(uint64(a.I) >> uint(b.I&63))
-		default: // ir.OpAShr
-			n = a.I >> uint(b.I&63)
-		}
-		if st.reg >= 0 {
-			x.regs[st.reg] = IntVal(n)
-		}
-		return nil
-	case aFloatArith:
-		a, b := x.src(st.args[0]), x.src(st.args[1])
-		var f float64
-		switch st.in.Op {
-		case ir.OpFAdd:
-			f = a.F + b.F
-		case ir.OpFSub:
-			f = a.F - b.F
-		case ir.OpFMul:
-			f = a.F * b.F
-		default: // ir.OpFDiv
-			f = a.F / b.F
-		}
-		if st.reg >= 0 {
-			x.regs[st.reg] = FloatVal(f)
-		}
-		return nil
-	case aCmp:
-		// Mirrors compareVal's scalar path exactly.
-		if st.reg >= 0 {
-			a, b := x.src(st.args[0]), x.src(st.args[1])
-			var r bool
-			if st.in.Op == ir.OpFCmp {
-				switch st.in.Pr {
-				case ir.PredEQ:
-					r = a.F == b.F
-				case ir.PredNE:
-					r = a.F != b.F
-				case ir.PredLT:
-					r = a.F < b.F
-				case ir.PredLE:
-					r = a.F <= b.F
-				case ir.PredGT:
-					r = a.F > b.F
-				case ir.PredGE:
-					r = a.F >= b.F
-				}
-			} else {
-				switch st.in.Pr {
-				case ir.PredEQ:
-					r = a.I == b.I
-				case ir.PredNE:
-					r = a.I != b.I
-				case ir.PredLT:
-					r = a.I < b.I
-				case ir.PredLE:
-					r = a.I <= b.I
-				case ir.PredGT:
-					r = a.I > b.I
-				case ir.PredGE:
-					r = a.I >= b.I
-				}
-			}
-			if r {
-				x.regs[st.reg] = IntVal(1)
-			} else {
-				x.regs[st.reg] = IntVal(0)
-			}
-		}
-		return nil
-	case aLoadParam:
-		idx := x.src(st.args[0]).I
-		base := idx * st.lanes
-		if base < 0 || base+st.lanes > int64(st.buf.Len()) {
-			return fmt.Errorf("interp: load out of bounds: %s[%d] (len %d)", st.prm.PName, idx, st.buf.Len()/int(st.lanes))
-		}
-		x.accesses = append(x.accesses, Access{
-			Param: int32(st.prm.Index), Index: idx, Bytes: st.bytes, Write: false,
-		})
-		if st.reg >= 0 {
-			x.regs[st.reg] = readBufPlain(st.buf, base, st.lanes)
-		}
-		return nil
-	case aLoadAlloca:
-		idx := x.src(st.args[0]).I
-		base := idx * st.lanes
-		want := st.count * st.lanes
-		if base < 0 || base+st.lanes > want {
-			return fmt.Errorf("interp: load out of bounds: %s[%d] (len %d)", st.in.Mem.(*ir.Alloca).AName, idx, st.count)
-		}
-		if st.reg >= 0 {
-			if st.lanes == 1 {
-				x.regs[st.reg] = st.cells[base]
-			} else {
-				out := Val{Vec: make([]Val, st.lanes)}
-				copy(out.Vec, st.cells[base:base+st.lanes])
-				x.regs[st.reg] = out
-			}
-		}
-		return nil
-	case aStoreParam:
-		// Global buffers are left untouched — no statically analyzable
-		// kernel reads back what it wrote (that is the analyzability
-		// criterion) — so the store only traces and bounds-checks.
-		idx := x.src(st.args[0]).I
-		base := idx * st.lanes
-		if base < 0 || base+st.lanes > int64(st.buf.Len()) {
-			return fmt.Errorf("interp: store out of bounds: %s[%d] (len %d)", st.prm.PName, idx, st.buf.Len()/int(st.lanes))
-		}
-		x.accesses = append(x.accesses, Access{
-			Param: int32(st.prm.Index), Index: idx, Bytes: st.bytes, Write: true,
-		})
-		return nil
-	case aStoreAlloca:
-		idx := x.src(st.args[0]).I
-		base := idx * st.lanes
-		want := st.count * st.lanes
-		if base < 0 || base+st.lanes > want {
-			return fmt.Errorf("interp: store out of bounds: %s[%d] (len %d)", st.in.Mem.(*ir.Alloca).AName, idx, st.count)
-		}
-		if st.cells != nil { // tracked: contents modelled exactly
-			v := x.src(st.args[1])
-			if st.lanes == 1 {
-				st.cells[base] = v
-			} else {
-				for i := int64(0); i < st.lanes; i++ {
-					st.cells[base+i] = lane(v, int(i))
-				}
-			}
-		}
-		return nil
-	case aAtomicParam:
-		// An atomic whose result the slice never consumes (the analyzer
-		// declines otherwise): trace the read-modify-write pair, leave
-		// the cell alone — its value can only feed data computation.
-		idx := x.src(st.args[0]).I
-		base := idx * st.lanes
-		if base < 0 || base+st.lanes > int64(st.buf.Len()) {
-			return fmt.Errorf("interp: load out of bounds: %s[%d] (len %d)", st.prm.PName, idx, st.buf.Len()/int(st.lanes))
-		}
-		x.accesses = append(x.accesses,
-			Access{Param: int32(st.prm.Index), Index: idx, Bytes: st.bytes, Write: false},
-			Access{Param: int32(st.prm.Index), Index: idx, Bytes: st.bytes, Write: true})
-		return nil
-	case aAtomicAlloca:
-		idx := x.src(st.args[0]).I
-		base := idx * st.lanes
-		want := st.count * st.lanes
-		if base < 0 || base+st.lanes > want {
-			return fmt.Errorf("interp: load out of bounds: %s[%d] (len %d)", st.in.Mem.(*ir.Alloca).AName, idx, st.count)
-		}
-		return nil
-	}
+// outOfBounds is the interpreter's bounds error for the step's access.
+func (st *planStep) outOfBounds(verb string, idx int64) error {
+	return fmt.Errorf("interp: %s out of bounds: %s[%d] (len %d)", verb, st.in.Mem.StorageName(), idx, st.lim/st.lanes)
+}
 
-	// The remaining steps are needed pure computations.
+// generic evaluates a step without its own action code through the
+// evaluators the interpreter uses, so semantics and error strings match.
+func (x *planExec) generic(st *planStep) (Val, error) {
 	in := st.in
-	var v Val
+	arg := func(i int) Val { return x.regs[st.args[i]] }
+	all := func() []Val {
+		vs := make([]Val, len(st.args))
+		for i := range st.args {
+			vs[i] = arg(i)
+		}
+		return vs
+	}
 	switch in.Op {
 	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
 		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpLShr, ir.OpAShr,
 		ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
-		av, err := arithVal(in, x.src(st.args[0]), x.src(st.args[1]))
-		if err != nil {
-			return err
-		}
-		v = av
+		return arithVal(in, arg(0), arg(1))
 	case ir.OpICmp, ir.OpFCmp:
-		v = compareVal(in, x.src(st.args[0]), x.src(st.args[1]))
+		return compareVal(in, arg(0), arg(1)), nil
 	case ir.OpSelect:
-		v = selectVal(in, x.src(st.args[0]), x.src(st.args[1]), x.src(st.args[2]))
+		return selectVal(in, arg(0), arg(1), arg(2)), nil
 	case ir.OpCast:
-		v = castVal(x.src(st.args[0]), st.castFrom, in.T)
+		return castVal(arg(0), in.Args[0].Type(), in.T), nil
 	case ir.OpCall:
-		args := make([]Val, len(st.args))
-		for i := range st.args {
-			args[i] = x.src(st.args[i])
-		}
-		bv, err := builtinVal(in, args)
-		if err != nil {
-			return err
-		}
-		v = bv
+		return builtinVal(in, all())
 	case ir.OpVecBuild:
-		args := make([]Val, len(st.args))
-		for i := range st.args {
-			args[i] = x.src(st.args[i])
-		}
-		v = vecBuildVal(args)
+		return vecBuildVal(all()), nil
 	case ir.OpVecExtract:
-		v = vecExtractVal(in, x.src(st.args[0]))
+		return vecExtractVal(in, arg(0)), nil
 	case ir.OpVecInsert:
-		args := make([]Val, len(st.args))
-		for i := range st.args {
-			args[i] = x.src(st.args[i])
-		}
-		v = vecInsertVal(in, args)
-	default:
-		return fmt.Errorf("interp: static executor met unplanned op %v", in.Op)
+		return vecInsertVal(in, all()), nil
 	}
-	if st.reg >= 0 {
-		x.regs[st.reg] = v
-	}
-	return nil
+	return Val{}, fmt.Errorf("interp: static executor met unplanned op %v", in.Op)
 }
 
 // readBufPlain mirrors readBuf without per-element atomics.

@@ -66,6 +66,9 @@ func FuzzAffineAnalyzer(f *testing.F) {
 	f.Add(`__kernel void k(__global float* x) { x[get_global_id(0)] = 1.0f; }`)
 	f.Add(`__kernel void k(__global int* x) { for (int i = 0; i < 4; i++) { x[i] = i; } }`)
 	f.Add(`__kernel void k(__global int* x) { while (x[0] < 3) { x[0]++; } }`)
+	for _, h := range hazardKernels {
+		f.Add(h.src)
+	}
 
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<16 {

@@ -317,7 +317,10 @@ func (b *wgBarrier) wait() bool {
 		}
 		b.cond.Wait()
 	}
-	return b.n > 0
+	// The phase completed. A peer that passed it and then died has
+	// aborted the group since, but this work-item did arrive: it
+	// returns to meet the abort at its next barrier, not here.
+	return true
 }
 
 func runGroup(f *ir.Func, cfg *Config, nd NDRange, group [3]int64, trace bool,
@@ -374,6 +377,7 @@ func runGroup(f *ir.Func, cfg *Config, nd NDRange, group [3]int64, trace bool,
 				}
 			}()
 			w.run()
+			w.bar.leave()
 		}(w)
 	}
 	wg.Wait()
@@ -407,12 +411,30 @@ func runGroup(f *ir.Func, cfg *Config, nd NDRange, group [3]int64, trace bool,
 	return nil
 }
 
+// leave removes a work-item that returned from the barrier, so peers
+// still looping over barriers (a WI-dependent trip count around a
+// barrier, which OpenCL leaves undefined) wait only for live
+// work-items instead of deadlocking. The static executor counts such
+// barriers per work-item the same way.
+func (b *wgBarrier) leave() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.n <= 0 { // aborted group
+		return
+	}
+	b.n--
+	if b.count > 0 && b.count >= b.n {
+		b.count = 0
+		b.phase++
+		b.cond.Broadcast()
+	}
+}
+
 // abort releases all waiters after a work-item died so the group does not
-// deadlock; subsequent waits pass through immediately.
+// deadlock; subsequent waits return false immediately.
 func (b *wgBarrier) abort() {
 	b.mu.Lock()
 	b.n = 0
-	b.phase++
 	b.cond.Broadcast()
 	b.mu.Unlock()
 }

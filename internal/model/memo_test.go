@@ -12,6 +12,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cdfg"
 	"repro/internal/device"
+	"repro/internal/dram"
 	"repro/internal/model"
 	"repro/internal/sched"
 )
@@ -211,5 +212,29 @@ func TestDesignBoundsIndependentOfPredictOrder(t *testing.T) {
 		if after := swept.DesignBounds(peVals, cuVals); after != before {
 			t.Errorf("%s wg=%d: DesignBounds before any Predict %+v, after a sweep %+v", k.ID(), wg, before, after)
 		}
+	}
+}
+
+// TestPatternLatenciesPerDRAM pins the pattern-latency memo's key: a
+// platform whose DRAM timings differ gets its own micro-benchmark
+// result, and each analysis carries exactly what dram.ProfilePatterns
+// computes for its platform.
+func TestPatternLatenciesPerDRAM(t *testing.T) {
+	base := device.Virtex7()
+	slow := *base
+	slow.DRAM.TCL += 7
+	slow.DRAM.TRCD += 5
+	k := bench.FindID("gemm/gemm")
+	var got []dram.PatternLatencies
+	for _, p := range []*device.Platform{base, &slow, base} {
+		an := corpusAnalysis(t, k, p, k.MinWG)
+		want := dram.ProfilePatterns(p.DRAM, 4096, device.HashString(p.Name))
+		if an.PatLat != want {
+			t.Fatalf("DRAM %+v: PatLat %v, want %v", p.DRAM, an.PatLat, want)
+		}
+		got = append(got, an.PatLat)
+	}
+	if got[0] == got[1] {
+		t.Error("changed DRAM timings gave the same pattern latencies")
 	}
 }

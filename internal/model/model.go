@@ -191,7 +191,7 @@ func Analyze(ctx context.Context, f *ir.Func, p *device.Platform, cfg *interp.Co
 	}
 	_, dsp := telemetry.Start(ctx, "devprofile")
 	table := device.Profile(p, opts.OpSamples)
-	patLat := dram.ProfilePatterns(p.DRAM, opts.DRAMSamples, device.HashString(p.Name))
+	patLat := patternLatencies(p.DRAM, opts.DRAMSamples, device.HashString(p.Name))
 	dsp.End()
 	return &Analysis{
 		F:        f,
@@ -204,6 +204,32 @@ func Analyze(ctx context.Context, f *ir.Func, p *device.Platform, cfg *interp.Co
 		WGSize:   nd.WorkGroupSize(),
 		Barriers: prof.Barriers,
 	}, nil
+}
+
+// patternKey is every input of one DRAM pattern micro-benchmark.
+type patternKey struct {
+	dram    device.DRAMParams
+	samples int
+	seed    uint64
+}
+
+// patternMemo maps patternKey → dram.PatternLatencies. The latencies
+// are a pure value of the key and every prep on one platform asks for
+// the same ones, so each is computed once per process. Platforms come
+// from a fixed catalogue, which bounds the memo.
+var patternMemo sync.Map
+
+// patternLatencies is dram.ProfilePatterns, memoized per patternKey.
+// Callers that time or print the micro-benchmark itself call
+// dram.ProfilePatterns directly.
+func patternLatencies(p device.DRAMParams, samples int, seed uint64) dram.PatternLatencies {
+	k := patternKey{p, samples, seed}
+	if v, ok := patternMemo.Load(k); ok {
+		return v.(dram.PatternLatencies)
+	}
+	lat := dram.ProfilePatterns(p, samples, seed)
+	patternMemo.Store(k, lat)
+	return lat
 }
 
 // Estimate is the model's prediction for one design point, with the full
