@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build vet test race cover serve fuzz-smoke bench-explore bench-serve bench-dse bench-profile bench-trace check check-smoke ci
+.PHONY: build vet test race cover serve fuzz-smoke bench-explore bench-serve check check-smoke ci
 
 build:
 	$(GO) build ./...
@@ -58,26 +58,6 @@ bench-serve:
 	$(GO) test -run='^$$' -bench='BenchmarkPredict|BenchmarkServe' -benchtime=1x ./internal/serve
 	BENCH_SERVE_JSON=$(CURDIR)/BENCH_serve.json $(GO) test -run='^TestWarmRestartArtifact$$' -count=1 -v ./internal/serve
 
-# Guided search vs exhaustive exploration: per-kernel evaluations, wall
-# time and speedup, written to BENCH_dse.json (a CI artifact). Uses the
-# smoke kernel subset; BENCH_DSE_FLAGS=-bench-all runs all 60 kernels.
-bench-dse:
-	$(GO) run ./cmd/flexcl-dse -bench-json BENCH_dse.json $(BENCH_DSE_FLAGS)
-
-# Static profiler fast path vs the interpreter: per-kernel prep wall
-# time and speedup, written to BENCH_profile.json (a CI artifact). Uses
-# the smoke kernel subset; BENCH_PROFILE_FLAGS=-all runs the full corpus
-# plus the generated families.
-bench-profile:
-	$(GO) run ./cmd/flexcl-profile -json BENCH_profile.json $(BENCH_PROFILE_FLAGS)
-
-# Tracing overhead proof: the predict hot path benchmarked with the
-# tracer on vs off, written to BENCH_trace.json (a CI artifact). The
-# budget is <3% overhead; the artifact records the measured ratio. See
-# docs/OBSERVABILITY.md.
-bench-trace:
-	BENCH_TRACE_JSON=$(CURDIR)/BENCH_trace.json $(GO) test -run='^TestTraceOverheadArtifact$$' -count=1 -v ./internal/serve
-
 # Cross-layer correctness audit (see docs/CHECK.md): model invariants,
 # differential bands vs the simulator, serve consistency. check-smoke is
 # the time-boxed subset CI runs on every push; check is the full corpus.
@@ -91,4 +71,4 @@ check-smoke:
 	$(GO) run ./cmd/tracelint -root .
 	$(GO) run ./cmd/flexcl-check -smoke -timeout 5m
 
-ci: build vet race fuzz-smoke bench-dse bench-profile bench-trace check-smoke
+ci: build vet race fuzz-smoke check-smoke

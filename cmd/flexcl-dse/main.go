@@ -11,7 +11,6 @@
 //
 //	flexcl-dse -bench hotspot -kernel hotspot [-sim] [-top 10] [-workers N]
 //	flexcl-dse -bench hotspot -kernel hotspot -search guided
-//	flexcl-dse -bench-json BENCH_dse.json [-bench-all]
 //	flexcl-dse -artifact-dir ~/.cache/flexcl -bench hotspot -kernel hotspot
 //	flexcl-dse -list
 //
@@ -22,7 +21,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -40,16 +38,14 @@ import (
 
 func main() {
 	var (
-		benchName = flag.String("bench", "", "benchmark name (e.g. hotspot)")
-		kernel    = flag.String("kernel", "", "kernel name (e.g. hotspot)")
-		platform  = flag.String("platform", "virtex7", "virtex7 or ku060")
-		sim       = flag.Bool("sim", false, "validate against the cycle-level simulator (exhaustive search only)")
-		search    = flag.String("search", dse.StrategyExhaustive, "exhaustive, guided (branch-and-bound) or pareto (guided + frontier)")
-		top       = flag.Int("top", 10, "show the N best designs")
-		workers   = flag.Int("workers", 0, "exploration worker goroutines (0 = all cores, 1 = serial; output is identical)")
-		list      = flag.Bool("list", false, "list available kernels and exit")
-		benchJSON   = flag.String("bench-json", "", "benchmark guided search vs exhaustive exploration over the corpus and write a JSON report to this file")
-		benchAll    = flag.Bool("bench-all", false, "with -bench-json: run the full 60-kernel corpus instead of the smoke subset")
+		benchName   = flag.String("bench", "", "benchmark name (e.g. hotspot)")
+		kernel      = flag.String("kernel", "", "kernel name (e.g. hotspot)")
+		platform    = flag.String("platform", "virtex7", "virtex7 or ku060")
+		sim         = flag.Bool("sim", false, "validate against the cycle-level simulator (exhaustive search only)")
+		search      = flag.String("search", dse.StrategyExhaustive, "exhaustive, guided (branch-and-bound) or pareto (guided + frontier)")
+		top         = flag.Int("top", 10, "show the N best designs")
+		workers     = flag.Int("workers", 0, "exploration worker goroutines (0 = all cores, 1 = serial; output is identical)")
+		list        = flag.Bool("list", false, "list available kernels and exit")
 		trace       = flag.Bool("trace", false, "print a per-stage timing table of the exploration after the results")
 		artifactDir = flag.String("artifact-dir", "", "persist compile+analyze results to this directory and reuse them across runs (empty = memory only)")
 	)
@@ -76,13 +72,6 @@ func main() {
 	// Trailing artifact writes land after the results print; wait for
 	// them so the next run actually starts warm.
 	defer cache.Flush()
-	if *benchJSON != "" {
-		if err := benchSearch(*benchJSON, p, *workers, *benchAll, cache); err != nil {
-			fmt.Fprintln(os.Stderr, "flexcl-dse:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *benchName == "" || *kernel == "" {
 		flag.Usage()
 		os.Exit(2)
@@ -233,114 +222,6 @@ func runGuided(ctx context.Context, k *bench.Kernel, p *core.Platform, strategy 
 			ft.Add(dse.Resource(pt.Design), pt.Design.String(), fmt.Sprintf("%.0f", pt.Est))
 		}
 		ft.Write(os.Stdout)
-	}
-}
-
-// benchRow is one kernel's guided-vs-exhaustive measurement in the
-// BENCH_dse.json artifact.
-type benchRow struct {
-	Kernel    string  `json:"kernel"`
-	Space     int     `json:"space"`
-	Evaluated int     `json:"evaluated"`
-	Pruned    int     `json:"pruned"`
-	EvalRatio float64 `json:"eval_ratio"`
-	ExploreMS float64 `json:"explore_wall_ms"`
-	SearchMS  float64 `json:"search_wall_ms"`
-	Speedup   float64 `json:"speedup"`
-}
-
-type benchReport struct {
-	Platform      string     `json:"platform"`
-	Kernels       int        `json:"kernels"`
-	MedianRatio   float64    `json:"median_eval_ratio"`
-	MaxRatio      float64    `json:"max_eval_ratio"`
-	MedianSpeedup float64    `json:"median_speedup"`
-	Rows          []benchRow `json:"rows"`
-}
-
-// benchSmokeStride matches internal/check's smoke subset: every 6th
-// corpus kernel, so CI artifacts and audit findings cover the same slice.
-const benchSmokeStride = 6
-
-func benchSearch(path string, p *core.Platform, workers int, all bool, cache *dse.PrepCache) error {
-	ks := bench.All()
-	if !all {
-		var sub []*bench.Kernel
-		for i, k := range ks {
-			if i%benchSmokeStride == 0 {
-				sub = append(sub, k)
-			}
-		}
-		ks = sub
-	}
-	ctx := context.Background()
-	rep := benchReport{Platform: p.Name, Kernels: len(ks)}
-	for _, k := range ks {
-		// Warm the prep cache first so both arms measure evaluation
-		// work, not the shared compile+analyze cost.
-		if _, err := dse.Search(ctx, k, dse.SearchOptions{Platform: p, Workers: workers, Cache: cache}); err != nil {
-			return fmt.Errorf("%s: %w", k.ID(), err)
-		}
-		ex, err := dse.Explore(ctx, k, dse.Options{
-			Platform: p, SkipActual: true, SkipBaseline: true,
-			Workers: workers, Cache: cache,
-		})
-		if err != nil {
-			return fmt.Errorf("%s: %w", k.ID(), err)
-		}
-		sr, err := dse.Search(ctx, k, dse.SearchOptions{Platform: p, Workers: workers, Cache: cache})
-		if err != nil {
-			return fmt.Errorf("%s: %w", k.ID(), err)
-		}
-		row := benchRow{
-			Kernel:    k.ID(),
-			Space:     sr.Space,
-			Evaluated: sr.Evaluated,
-			Pruned:    sr.Pruned,
-			ExploreMS: float64(ex.WallTime) / float64(time.Millisecond),
-			SearchMS:  float64(sr.WallTime) / float64(time.Millisecond),
-		}
-		if sr.Space > 0 {
-			row.EvalRatio = float64(sr.Evaluated) / float64(sr.Space)
-		}
-		if sr.WallTime > 0 {
-			row.Speedup = float64(ex.WallTime) / float64(sr.WallTime)
-		}
-		rep.Rows = append(rep.Rows, row)
-		fmt.Printf("%-28s space=%4d eval=%3d ratio=%.3f explore=%7.2fms search=%7.2fms speedup=%5.1fx\n",
-			k.ID(), row.Space, row.Evaluated, row.EvalRatio, row.ExploreMS, row.SearchMS, row.Speedup)
-	}
-	ratios := make([]float64, 0, len(rep.Rows))
-	speedups := make([]float64, 0, len(rep.Rows))
-	for _, r := range rep.Rows {
-		ratios = append(ratios, r.EvalRatio)
-		speedups = append(speedups, r.Speedup)
-		if r.EvalRatio > rep.MaxRatio {
-			rep.MaxRatio = r.EvalRatio
-		}
-	}
-	rep.MedianRatio = median(ratios)
-	rep.MedianSpeedup = median(speedups)
-	fmt.Printf("kernels=%d median_eval_ratio=%.4f max_eval_ratio=%.4f median_speedup=%.1fx\n",
-		rep.Kernels, rep.MedianRatio, rep.MaxRatio, rep.MedianSpeedup)
-
-	buf, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-func median(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), vs...)
-	sort.Float64s(sorted)
-	if n := len(sorted); n%2 == 1 {
-		return sorted[n/2]
-	} else {
-		return (sorted[n/2-1] + sorted[n/2]) / 2
 	}
 }
 

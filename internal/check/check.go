@@ -24,8 +24,8 @@
 //   - profile equivalence: the static-analysis profiler fast path
 //     yields bitwise the same Profile as the interpreter for every
 //     kernel the analyzer claims (both sampling modes, errors
-//     included), the parallel interpreter is deterministic across
-//     worker counts, and the statically analyzable fraction of
+//     included), the interpreter is deterministic across runs,
+//     and the statically analyzable fraction of
 //     PolyBench stays above its floor — the proof behind letting the
 //     dispatcher skip interpretation.
 //

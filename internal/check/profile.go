@@ -13,8 +13,8 @@ import (
 // for every kernel the analyzer claims, the statically derived profile
 // must be field-for-field identical to the interpreter's — both prefix
 // and spread sampling — and the interpreter itself must be
-// deterministic across worker counts, so the dispatcher can pick any
-// path without changing a single downstream model estimate. Corpus-wide
+// deterministic across runs, so the dispatcher can pick either path
+// without changing a single downstream model estimate. Corpus-wide
 // the analyzer must claim at least profileMinStaticFraction of the
 // PolyBench suite, the regular workloads the fast path exists for.
 const FamilyProfile = "profile"
@@ -40,7 +40,7 @@ type profileAudit struct {
 	interpErr  string // error from the interpreter ("" = none)
 	prefixDiff string // static vs interp, prefix sampling
 	spreadDiff string // static vs interp, spread sampling
-	workerDiff string // interp at 1 worker vs 4 workers
+	rerunDiff  string // interp run vs an independent interp rerun
 }
 
 // profileKernelFindings turns one kernel's audit into findings.
@@ -59,11 +59,12 @@ func profileKernelFindings(a profileAudit) (findings []Finding, checks int) {
 		fail("decline-reason", "a decline reason for the fallback", "empty reason")
 	}
 
-	// The interpreter must be deterministic at any worker count; this
-	// holds for every kernel, fallback ones most of all.
+	// The goroutine-per-work-item interpreter must be deterministic
+	// across runs; this holds for every kernel, fallback ones most of
+	// all.
 	checks++
-	if a.workerDiff != "" {
-		fail("worker-determinism", "identical profiles at 1 and 4 workers", a.workerDiff)
+	if a.rerunDiff != "" {
+		fail("interp-determinism", "identical profiles from two interpreter runs", a.rerunDiff)
 	}
 
 	if !a.analyzable {
@@ -100,7 +101,7 @@ func profileAuditKernel(k *bench.Kernel) (profileAudit, error) {
 
 	diff := func(spread bool) (string, string, string, error) {
 		sp, _, serr := interp.StaticProfile(f, k.Config(k.MinWG), profileGroups, spread)
-		ip, ierr := interp.InterpProfile(f, k.Config(k.MinWG), profileGroups, spread, 1)
+		ip, ierr := interp.InterpProfile(f, k.Config(k.MinWG), profileGroups, spread)
 		se, ie := "", ""
 		if serr != nil {
 			se = serr.Error()
@@ -123,17 +124,18 @@ func profileAuditKernel(k *bench.Kernel) (profileAudit, error) {
 		}
 	}
 
-	p1, err1 := interp.InterpProfile(f, k.Config(k.MinWG), profileGroups, true, 1)
-	p4, err4 := interp.InterpProfile(f, k.Config(k.MinWG), profileGroups, true, 4)
+	// Fresh Config per run: the interpreter mutates buffers.
+	p1, err1 := interp.InterpProfile(f, k.Config(k.MinWG), profileGroups, true)
+	p2, err2 := interp.InterpProfile(f, k.Config(k.MinWG), profileGroups, true)
 	switch {
-	case err1 != nil && err4 != nil:
-		if err1.Error() != err4.Error() {
-			a.workerDiff = fmt.Sprintf("worker errors differ: %q vs %q", err1, err4)
+	case err1 != nil && err2 != nil:
+		if err1.Error() != err2.Error() {
+			a.rerunDiff = fmt.Sprintf("run errors differ: %q vs %q", err1, err2)
 		}
-	case err1 != nil || err4 != nil:
-		a.workerDiff = fmt.Sprintf("one worker count failed: 1 → %v, 4 → %v", err1, err4)
+	case err1 != nil || err2 != nil:
+		a.rerunDiff = fmt.Sprintf("one run failed: first → %v, second → %v", err1, err2)
 	default:
-		a.workerDiff = p1.Diff(p4)
+		a.rerunDiff = p1.Diff(p2)
 	}
 	return a, nil
 }

@@ -49,9 +49,9 @@ func TestProfileComparatorCatchesMismatches(t *testing.T) {
 			"error-match",
 		},
 		{
-			"nondeterministic-workers",
-			profileAudit{kernel: "k", analyzable: false, reason: "r", workerDiff: "Traces[3][0]: differs"},
-			"worker-determinism",
+			"nondeterministic-reruns",
+			profileAudit{kernel: "k", analyzable: false, reason: "r", rerunDiff: "Traces[3][0]: differs"},
+			"interp-determinism",
 		},
 		{
 			"silent-decline",

@@ -10,8 +10,9 @@ import (
 
 // BenchmarkSearchVsExplore compares guided branch-and-bound search with
 // model-only exhaustive exploration on a shared pre-warmed prep cache,
-// so the delta is pure evaluation work (the quantity `make bench-dse`
-// reports per kernel into BENCH_dse.json via cmd/flexcl-dse).
+// so the delta is pure evaluation work (perfbench's traced sweep
+// reports the same quantity corpus-wide as dse.search_ms vs
+// dse.explore_ms).
 func BenchmarkSearchVsExplore(b *testing.B) {
 	kernels := []*bench.Kernel{
 		bench.Find("nn", "nn"),

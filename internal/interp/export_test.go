@@ -11,9 +11,6 @@ func SetProfileStepLimitForTest(n int64) (restore func()) {
 	return func() { profStepLimit = old }
 }
 
-// GroupIndependentForTest exposes the parallel-execution gate.
-var GroupIndependentForTest = groupIndependent
-
 // PlanStepsForTest compiles f's static plan for cfg's launch and
 // returns the compiled step count of every reachable block, by label;
 // nil when f is not statically analyzable.

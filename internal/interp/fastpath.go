@@ -3,10 +3,8 @@ package interp
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/interp/static"
 	"repro/internal/ir"
@@ -17,16 +15,13 @@ import (
 // Source identifies which profiling path produced a Profile.
 type Source string
 
-// Profiling paths, cheapest first. Every path yields the exact same
+// Profiling paths, cheapest first. Both paths yield the exact same
 // Profile for a given (kernel, launch, sample) — the "profile" check
 // family and TestStaticVsInterpCorpus enforce it corpus-wide.
 const (
 	// SourceStatic: the static slice executor walked only the control
 	// flow and address computations, without running work-groups.
 	SourceStatic Source = "static"
-	// SourceInterpParallel: the interpreter ran independent work-groups
-	// on parallel workers and merged partials in dispatch order.
-	SourceInterpParallel Source = "interp-parallel"
 	// SourceInterp: the reference sequential interpreter.
 	SourceInterp Source = "interp"
 )
@@ -45,14 +40,13 @@ var planCache sync.Map
 type planEntry struct {
 	plan   *static.Plan // nil when the kernel declined analysis
 	reason string       // decline reason when plan is nil
-	indep  bool         // work-groups provably independent (parallel ok)
 }
 
 func planFor(f *ir.Func) *planEntry {
 	if e, ok := planCache.Load(f); ok {
 		return e.(*planEntry)
 	}
-	e := &planEntry{indep: groupIndependent(f)}
+	e := &planEntry{}
 	plan, err := static.Analyze(f, static.Options{
 		KnownCall:   KnownBuiltin,
 		KnownAtomic: KnownAtomic,
@@ -73,24 +67,14 @@ func StaticAnalyzable(f *ir.Func) (bool, string) {
 	return e.plan != nil, e.reason
 }
 
-// statsStatic/statsInterp mirror the obs counters for cheap in-process
-// reads (obs counters are per-name children behind a mutex'd registry).
-var statsStatic, statsInterp atomic.Uint64
-
-// PathStats reports how many profiles each path has produced since
-// process start (static fast path, interpreted fallback).
-func PathStats() (staticN, interpN uint64) {
-	return statsStatic.Load(), statsInterp.Load()
-}
-
-// profileDispatch tries the profiling paths cheapest-first.
+// profileDispatch runs the static slice executor when the kernel is
+// analyzable and the launch does not fault, else the interpreter.
 func profileDispatch(f *ir.Func, cfg *Config, maxGroups int, spread bool) (*Profile, error) {
 	sample := sampleFor(cfg, maxGroups, spread)
 	e := planFor(f)
 	if e.plan != nil {
 		prof, err := runPlan(e.plan, cfg, sample)
 		if err == nil {
-			statsStatic.Add(1)
 			obs.Global().Counter("profile_static_total", "").Inc()
 			prof.Source = SourceStatic
 			return prof, nil
@@ -100,29 +84,19 @@ func profileDispatch(f *ir.Func, cfg *Config, maxGroups int, spread bool) (*Prof
 		// (the slice executor has not touched the buffers, so the rerun
 		// starts from the same state).
 	}
-	statsInterp.Add(1)
 	obs.Global().Counter("profile_interp_total", "").Inc()
-	prof, src, err := interpProfile(f, cfg, sample, runtime.GOMAXPROCS(0), e.indep)
-	if prof != nil {
-		prof.Source = src
-	}
-	return prof, err
+	return interpProfile(f, cfg, sample)
 }
 
-// InterpProfile profiles f with the interpreter, bypassing the static
-// fast path: workers > 1 executes independent work-groups in parallel
-// (sequential when the kernel's groups may communicate). Exported so
-// tests and benchmarks can pin the path and the worker count; callers
-// wanting the fast path use ProfileKernel/ProfileKernelSpread.
-func InterpProfile(f *ir.Func, cfg *Config, maxGroups int, spread bool, workers int) (*Profile, error) {
+// InterpProfile profiles f with the sequential reference interpreter,
+// bypassing the static fast path. Exported so tests and benchmarks can
+// pin the path; callers wanting the fast path use
+// ProfileKernel/ProfileKernelSpread.
+func InterpProfile(f *ir.Func, cfg *Config, maxGroups int, spread bool) (*Profile, error) {
 	if maxGroups <= 0 {
 		maxGroups = 2
 	}
-	prof, src, err := interpProfile(f, cfg, sampleFor(cfg, maxGroups, spread), workers, groupIndependent(f))
-	if prof != nil {
-		prof.Source = src
-	}
-	return prof, err
+	return interpProfile(f, cfg, sampleFor(cfg, maxGroups, spread))
 }
 
 // StaticProfile profiles f using only the static slice executor. ok
@@ -143,14 +117,12 @@ func StaticProfile(f *ir.Func, cfg *Config, maxGroups int, spread bool) (*Profil
 	return prof, true, err
 }
 
-func interpProfile(f *ir.Func, cfg *Config, sample groupSample, workers int, indep bool) (*Profile, Source, error) {
-	if workers > 1 && indep {
-		if prof, ok, err := executeParallel(f, cfg, sample, workers); ok {
-			return prof, SourceInterpParallel, err
-		}
-	}
+func interpProfile(f *ir.Func, cfg *Config, sample groupSample) (*Profile, error) {
 	prof, err := execute(f, cfg, sample, true)
-	return prof, SourceInterp, err
+	if prof != nil {
+		prof.Source = SourceInterp
+	}
+	return prof, err
 }
 
 // Diff compares two profiles field for field (Source and Params

@@ -150,12 +150,11 @@ func Run(f *ir.Func, cfg *Config) error {
 // maxGroups of the launch — FlexCL's own choice (§3.2), whose sampling
 // bias is part of the modeled error.
 //
-// The profile is produced by the cheapest path that yields the exact
-// interpreted result (see fastpath.go): the static slice executor when
-// the kernel analyzes, else the interpreter with parallel work-group
-// execution when groups are provably independent, else the sequential
-// interpreter. Profile.Source records the path taken. Buffers are
-// mutated only on the interpreted paths.
+// The profile is produced by one of two paths that yield the exact
+// same result (see fastpath.go): the static slice executor when the
+// kernel analyzes and the launch does not fault, else the sequential
+// reference interpreter. Profile.Source records the path taken.
+// Buffers are mutated only on the interpreted path.
 func ProfileKernel(f *ir.Func, cfg *Config, maxGroups int) (*Profile, error) {
 	if maxGroups <= 0 {
 		maxGroups = 2
@@ -171,7 +170,7 @@ func ProfileKernel(f *ir.Func, cfg *Config, maxGroups int) (*Profile, error) {
 // the analytical model deliberately keeps the paper's prefix sampling.
 // Work-groups of one launch are independent (OpenCL offers no
 // inter-group ordering), so any subset is as valid to execute as a
-// prefix. Buffers are mutated only on the interpreted paths (see
+// prefix. Buffers are mutated only on the interpreted path (see
 // ProfileKernel).
 func ProfileKernelSpread(f *ir.Func, cfg *Config, maxGroups int) (*Profile, error) {
 	if maxGroups <= 0 {

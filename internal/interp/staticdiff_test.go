@@ -1,10 +1,8 @@
 // Corpus-wide differential harness: for every bundled and generated
 // kernel whose profile the static analyzer claims, the static profile
-// must be field-for-field identical to the interpreter's — and the
-// interpreter itself must produce the same profile at every worker
-// count, pinning parallel-execution determinism. The package is
-// interp_test (not interp) because the corpus lives in bench, which
-// imports interp.
+// must be field-for-field identical to the sequential reference
+// interpreter's. The package is interp_test (not interp) because the
+// corpus lives in bench, which imports interp.
 package interp_test
 
 import (
@@ -45,15 +43,13 @@ func TestStaticVsInterpCorpus(t *testing.T) {
 				if err != nil {
 					t.Fatalf("static profile (spread=%v): %v", spread, err)
 				}
-				// Fresh Config per run: the interpreter mutates buffers.
-				for _, workers := range []int{1, 2, 4, 8} {
-					ip, err := interp.InterpProfile(f, k.Config(wg), groups, spread, workers)
-					if err != nil {
-						t.Fatalf("interp profile (spread=%v, workers=%d): %v", spread, workers, err)
-					}
-					if d := sp.Diff(ip); d != "" {
-						t.Fatalf("static != interp (spread=%v, workers=%d): %s", spread, workers, d)
-					}
+				// Fresh Config: the interpreter mutates buffers.
+				ip, err := interp.InterpProfile(f, k.Config(wg), groups, spread)
+				if err != nil {
+					t.Fatalf("interp profile (spread=%v): %v", spread, err)
+				}
+				if d := sp.Diff(ip); d != "" {
+					t.Fatalf("static != interp (spread=%v): %s", spread, d)
 				}
 			}
 		})
@@ -85,12 +81,53 @@ func TestStaticVsInterpAllKeys(t *testing.T) {
 					if err != nil {
 						t.Fatalf("wg=%d spread=%v: static profile: %v", wg, spread, err)
 					}
-					ip, err := interp.InterpProfile(f, k.Config(wg), groups, spread, 1)
+					ip, err := interp.InterpProfile(f, k.Config(wg), groups, spread)
 					if err != nil {
 						t.Fatalf("wg=%d spread=%v: interp profile: %v", wg, spread, err)
 					}
 					if d := sp.Diff(ip); d != "" {
 						t.Fatalf("wg=%d spread=%v: static != interp: %s", wg, spread, d)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDispatcherSourceAllKeys pins the dispatcher itself at every prep
+// key in both sampling modes: ProfileKernel takes the static path
+// exactly when the kernel is statically analyzable. The equality tests
+// above would all still pass if static kernels were silently routed
+// to the interpreter.
+func TestDispatcherSourceAllKeys(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every prep key of the corpus: skipped under -short")
+	}
+	const groups = 8
+	for _, k := range corpus() {
+		k := k
+		t.Run(k.Bench+"_"+k.Name, func(t *testing.T) {
+			t.Parallel()
+			for _, wg := range k.WGSizes() {
+				f, err := k.Compile(wg)
+				if err != nil {
+					t.Fatalf("wg=%d: compile: %v", wg, err)
+				}
+				want := interp.SourceInterp
+				if ok, _ := interp.StaticAnalyzable(f); ok {
+					want = interp.SourceStatic
+				}
+				for _, spread := range []bool{false, true} {
+					profile := interp.ProfileKernel
+					if spread {
+						profile = interp.ProfileKernelSpread
+					}
+					prof, err := profile(f, k.Config(wg), groups)
+					if err != nil {
+						t.Fatalf("wg=%d spread=%v: %v", wg, spread, err)
+					}
+					if prof.Source != want {
+						t.Fatalf("wg=%d spread=%v: source = %q, want %q", wg, spread, prof.Source, want)
 					}
 				}
 			}
@@ -176,7 +213,7 @@ func requireStaticEqualsInterp(t *testing.T, f *ir.Func, wantErr string) {
 	}
 	for _, spread := range []bool{false, true} {
 		sp, _, serr := interp.StaticProfile(f, fuzzConfig(f), 2, spread)
-		ip, ierr := interp.InterpProfile(f, fuzzConfig(f), 2, spread, 1)
+		ip, ierr := interp.InterpProfile(f, fuzzConfig(f), 2, spread)
 		switch {
 		case wantErr != "":
 			if serr == nil || ierr == nil || serr.Error() != ierr.Error() || !strings.Contains(serr.Error(), wantErr) {
@@ -340,7 +377,7 @@ func TestStaticCastOfNonPlainScalar(t *testing.T) {
 		if !ok || err != nil {
 			t.Fatalf("viaCell=%v: static profile: ok=%v err=%v", viaCell, ok, err)
 		}
-		ip, err := interp.InterpProfile(k.f, cfg(), 2, false, 1)
+		ip, err := interp.InterpProfile(k.f, cfg(), 2, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,7 +440,7 @@ func TestStaticCoverageFloor(t *testing.T) {
 	}
 }
 
-// TestDispatcherUsesStaticPath pins that ProfileKernel actually routes
+// TestDispatcherRecordsSource pins that ProfileKernel actually routes
 // analyzable kernels through the fast path (Source tells which).
 func TestDispatcherRecordsSource(t *testing.T) {
 	va, err := bench.Generate(bench.GenSpec{Family: "vecadd", N: 256})

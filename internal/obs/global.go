@@ -36,7 +36,7 @@ func Global() *Registry {
 			"Kernel profiles produced by the static fast path (no work-group execution).")
 		globalReg.Counter("profile_interp_total", "")
 		globalReg.Help("profile_interp_total",
-			"Kernel profiles produced by the interpreter (sequential or parallel work-groups).")
+			"Kernel profiles produced by the sequential reference interpreter.")
 		// build_info is the standard replica-identification gauge:
 		// constant 1, identity in the labels, so a scraper can tell
 		// replicas (and rollout generations) apart.

@@ -13,6 +13,15 @@ import (
 // id renders as "inline/<fn>".
 const InlineBench = "inline"
 
+// Inline launch caps. Synthesized buffers are allocated and filled
+// element by element on every compile, so an unbounded global or
+// buf_lens would let one request exhaust memory. The largest bundled
+// launch is 2^18 work-items.
+const (
+	maxInlineWorkItems = 1 << 24 // product of the global dimensions
+	maxInlineBufElems  = 1 << 24 // elements of one buffer, and of all together
+)
+
 // inlineKernel builds a bench.Kernel from an inline source reference:
 // the source is compiled once (at the smallest swept work-group size)
 // to validate it and enumerate its parameters, global pointer arguments
@@ -33,11 +42,18 @@ func inlineKernel(ref KernelRef) (*bench.Kernel, *Error) {
 	for i := range global {
 		global[i] = 1
 	}
+	nwi := int64(1)
 	for i, g := range ref.Global {
 		if g <= 0 {
 			return nil, Errf(CodeBadRequest, http.StatusBadRequest,
 				"inline kernel global[%d] = %d must be positive", i, g)
 		}
+		// nwi·g ≤ cap ⟺ g ≤ ⌊cap/nwi⌋, so the product never overflows.
+		if g > maxInlineWorkItems/nwi {
+			return nil, Errf(CodeBadRequest, http.StatusBadRequest,
+				"inline kernel global: more than %d work-items", maxInlineWorkItems)
+		}
+		nwi *= g
 		global[i] = g
 	}
 
@@ -81,6 +97,7 @@ func inlineKernel(ref KernelRef) (*bench.Kernel, *Error) {
 	}
 
 	var missing []string
+	var total int64
 	for _, prm := range f.Params {
 		t := prm.T
 		if !t.Ptr {
@@ -98,8 +115,16 @@ func inlineKernel(ref KernelRef) (*bench.Kernel, *Error) {
 				"inline kernel parameter %q: vector-element buffers are not supported", prm.PName)
 		}
 		n := ref.BufLens[prm.PName]
+		if n > maxInlineBufElems {
+			return nil, Errf(CodeBadRequest, http.StatusBadRequest,
+				"inline kernel buf_lens[%q] = %d exceeds %d elements", prm.PName, n, maxInlineBufElems)
+		}
 		if n <= 0 {
 			n = k.NWI()
+		}
+		if total += n; total > maxInlineBufElems {
+			return nil, Errf(CodeBadRequest, http.StatusBadRequest,
+				"inline kernel buf_lens: synthesized buffers exceed %d elements in total", maxInlineBufElems)
 		}
 		b := bench.Buf{Name: prm.PName, Kind: t.Base, Len: n}
 		if t.Base.IsFloat() {

@@ -153,6 +153,56 @@ func TestV2PredictInlineKernel(t *testing.T) {
 	}
 }
 
+// TestV2InlineLaunchBounds: inline launches that would size an
+// allocation past the caps are typed 400s naming the field, rejected
+// before anything is compiled or filled (2^31 × 2^31 work-items used
+// to crash the process inside the detached prep fill).
+func TestV2InlineLaunchBounds(t *testing.T) {
+	_, ts := newTestServer(t, Config{RequestTimeout: time.Minute})
+	src := `__kernel void scale(__global const float* x, __global float* y, int n) {
+	int i = get_global_id(0);
+	y[i] = x[i] * 2.0f + (float)n;
+}`
+	cases := []struct {
+		name    string
+		global  []int64
+		bufLens map[string]int64
+		substr  string
+	}{
+		{"overflowing global", []int64{1 << 31, 1 << 31}, nil, "global"},
+		{"global over cap", []int64{1 << 13, 1 << 13, 1 << 13}, nil, "global"},
+		{"buf_lens over cap", []int64{1024}, map[string]int64{"x": 1 << 25}, `buf_lens["x"]`},
+		{"buf_lens total over cap", []int64{1024}, map[string]int64{"x": 1 << 24, "y": 1}, "buf_lens"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req := map[string]any{
+				"kernel": map[string]any{
+					"source": src, "fn": "scale", "global": tc.global,
+					"buf_lens": tc.bufLens, "scalars": map[string]int64{"n": 3},
+				},
+				"design": map[string]any{"wg_size": 64},
+			}
+			resp, body := postJSON(t, ts.URL+"/v2/predict", req)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400; body %s", resp.StatusCode, body)
+			}
+			var env struct {
+				Error *api.Error `json:"error"`
+			}
+			if err := json.Unmarshal(body, &env); err != nil || env.Error == nil {
+				t.Fatalf("not a v2 error envelope: %v\n%s", err, body)
+			}
+			if env.Error.Code != api.CodeBadRequest {
+				t.Errorf("code = %q, want %q", env.Error.Code, api.CodeBadRequest)
+			}
+			if !strings.Contains(env.Error.Message, tc.substr) {
+				t.Errorf("message %q does not name %s", env.Error.Message, tc.substr)
+			}
+		})
+	}
+}
+
 // TestV2PredictCoalescing is the tentpole property: K concurrent
 // predictions of the same kernel share ONE compile+analyze execution
 // through the singleflight prep cache.
