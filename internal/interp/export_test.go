@@ -11,15 +11,21 @@ func SetProfileStepLimitForTest(n int64) (restore func()) {
 	return func() { profStepLimit = old }
 }
 
+// InterpProfileToForTest streams the reference interpreter's prefix
+// profile of f to sink, bypassing the static fast path.
+func InterpProfileToForTest(f *ir.Func, cfg *Config, maxGroups int, sink GroupSink) (*Profile, error) {
+	return interpProfile(f, cfg, sampleFor(cfg, maxGroups, false), sink)
+}
+
 // PlanStepsForTest compiles f's static plan for cfg's launch and
 // returns the compiled step count of every reachable block, by label;
 // nil when f is not statically analyzable.
 func PlanStepsForTest(f *ir.Func, cfg *Config) map[string]int {
-	e := planFor(f)
-	if e.plan == nil {
+	plan, err := planFor(f)
+	if err != nil {
 		return nil
 	}
-	x := newPlanExec(e.plan, cfg, cfg.Range.Normalize())
+	x := newPlanExec(plan, cfg, cfg.Range.Normalize())
 	out := make(map[string]int)
 	var walk func(bp *blockPlan)
 	walk = func(bp *blockPlan) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/interp/static"
 	"repro/internal/ir"
@@ -31,49 +30,31 @@ const (
 // guard without burning 64M steps (see export_test.go).
 var profStepLimit int64 = 64 << 20
 
-// planCache memoizes the static analysis per function: *ir.Func →
-// *planEntry. Analysis is pure, and Funcs are shared read-only across
-// goroutines once built (see ir.EnsureLoops), so a duplicated analysis
-// during a race is only wasted work, never wrong.
-var planCache sync.Map
-
-type planEntry struct {
-	plan   *static.Plan // nil when the kernel declined analysis
-	reason string       // decline reason when plan is nil
-}
-
-func planFor(f *ir.Func) *planEntry {
-	if e, ok := planCache.Load(f); ok {
-		return e.(*planEntry)
-	}
-	e := &planEntry{}
-	plan, err := static.Analyze(f, static.Options{
+// planFor runs the static analysis of f. It is pure and costs tens of
+// microseconds, so nothing memoizes it: a memo keyed by *ir.Func would
+// keep every compiled function alive for the life of the process.
+func planFor(f *ir.Func) (*static.Plan, error) {
+	return static.Analyze(f, static.Options{
 		KnownCall:   KnownBuiltin,
 		KnownAtomic: KnownAtomic,
 	})
-	if err != nil {
-		e.reason = err.Error()
-	} else {
-		e.plan = plan
-	}
-	actual, _ := planCache.LoadOrStore(f, e)
-	return actual.(*planEntry)
 }
 
 // StaticAnalyzable reports whether f's profile can be produced by the
 // static fast path, with the decline reason when it cannot.
 func StaticAnalyzable(f *ir.Func) (bool, string) {
-	e := planFor(f)
-	return e.plan != nil, e.reason
+	if _, err := planFor(f); err != nil {
+		return false, err.Error()
+	}
+	return true, ""
 }
 
 // profileDispatch runs the static slice executor when the kernel is
-// analyzable and the launch does not fault, else the interpreter.
-func profileDispatch(f *ir.Func, cfg *Config, maxGroups int, spread bool) (*Profile, error) {
-	sample := sampleFor(cfg, maxGroups, spread)
-	e := planFor(f)
-	if e.plan != nil {
-		prof, err := runPlan(e.plan, cfg, sample)
+// analyzable and the launch does not fault, else the interpreter. Each
+// run streams its groups to a sink from newSink, called once per run.
+func profileDispatch(f *ir.Func, cfg *Config, sample groupSample, newSink func() GroupSink) (*Profile, error) {
+	if plan, err := planFor(f); err == nil {
+		prof, err := runPlan(plan, cfg, sample, newSink())
 		if err == nil {
 			obs.Global().Counter("profile_static_total", "").Inc()
 			prof.Source = SourceStatic
@@ -85,7 +66,48 @@ func profileDispatch(f *ir.Func, cfg *Config, maxGroups int, spread bool) (*Prof
 		// starts from the same state).
 	}
 	obs.Global().Counter("profile_interp_total", "").Inc()
-	return interpProfile(f, cfg, sample)
+	return interpProfile(f, cfg, sample, newSink())
+}
+
+// traceCopy is the sink behind the materialising entry points: it
+// copies every streamed group into one profile's Traces.
+type traceCopy struct{ traces [][]Access }
+
+// fresh starts a new run's trace and returns its sink.
+func (c *traceCopy) fresh() GroupSink {
+	c.traces = nil
+	return c.add
+}
+
+// add copies one group's traces into a single allocation; each
+// work-item's slice is capped so appending to it cannot reach into
+// its neighbour.
+func (c *traceCopy) add(group [][]Access) {
+	n := 0
+	for _, tr := range group {
+		n += len(tr)
+	}
+	buf := make([]Access, n)
+	for _, tr := range group {
+		k := copy(buf, tr)
+		c.traces = append(c.traces, buf[:k:k])
+		buf = buf[k:]
+	}
+}
+
+// into stores the copied traces in the profile of a finished run.
+func (c *traceCopy) into(prof *Profile, err error) (*Profile, error) {
+	if prof != nil {
+		prof.Traces = c.traces
+	}
+	return prof, err
+}
+
+// profileCopy runs the dispatcher and materialises the traces into the
+// returned profile.
+func profileCopy(f *ir.Func, cfg *Config, sample groupSample) (*Profile, error) {
+	var c traceCopy
+	return c.into(profileDispatch(f, cfg, sample, c.fresh))
 }
 
 // InterpProfile profiles f with the sequential reference interpreter,
@@ -96,7 +118,8 @@ func InterpProfile(f *ir.Func, cfg *Config, maxGroups int, spread bool) (*Profil
 	if maxGroups <= 0 {
 		maxGroups = 2
 	}
-	return interpProfile(f, cfg, sampleFor(cfg, maxGroups, spread))
+	var c traceCopy
+	return c.into(interpProfile(f, cfg, sampleFor(cfg, maxGroups, spread), c.fresh()))
 }
 
 // StaticProfile profiles f using only the static slice executor. ok
@@ -106,19 +129,20 @@ func StaticProfile(f *ir.Func, cfg *Config, maxGroups int, spread bool) (*Profil
 	if maxGroups <= 0 {
 		maxGroups = 2
 	}
-	e := planFor(f)
-	if e.plan == nil {
+	plan, err := planFor(f)
+	if err != nil {
 		return nil, false, nil
 	}
-	prof, err := runPlan(e.plan, cfg, sampleFor(cfg, maxGroups, spread))
+	var c traceCopy
+	prof, err := c.into(runPlan(plan, cfg, sampleFor(cfg, maxGroups, spread), c.fresh()))
 	if prof != nil {
 		prof.Source = SourceStatic
 	}
 	return prof, true, err
 }
 
-func interpProfile(f *ir.Func, cfg *Config, sample groupSample) (*Profile, error) {
-	prof, err := execute(f, cfg, sample, true)
+func interpProfile(f *ir.Func, cfg *Config, sample groupSample, sink GroupSink) (*Profile, error) {
+	prof, err := execute(f, cfg, sample, sink)
 	if prof != nil {
 		prof.Source = SourceInterp
 	}
@@ -276,7 +300,7 @@ type planStep struct {
 	param int32        // traced parameter ordinal
 	lanes int64        // element lanes of a memory access
 	lim   int64        // scalar cells of the accessed buffer or alloca
-	cells []Val        // tracked alloca contents
+	cells *cellFile    // tracked alloca contents
 	buf   *Buffer      // bound buffer of a param access
 	in    *ir.Instr    // aGeneric evaluation and error messages
 	args  []int32      // aGeneric: every operand slot
@@ -310,41 +334,108 @@ type planExec struct {
 
 	group, local, global [3]int64
 
-	// regs is the register file: the plan's SSA registers (the first
-	// nSSA slots, reset per work-item), one sink slot for results
-	// nothing reads, then the constants and launch scalars, filled once
-	// at compile time.
-	regs     []Val
+	// The register file holds one Val per slot, split so that the hot
+	// scalar steps write no pointers: ri and rf are the I and F fields
+	// and rv the Vec field, which only the steps that can yield a
+	// vector write.
+	// Slots are the plan's SSA registers (the first nSSA, reset per
+	// work-item), one sink slot for results nothing reads, then the
+	// constants and launch scalars, filled once at compile time. Every
+	// SSA slot has one writer step, so a step that writes only ri
+	// leaves F == 0 and Vec == nil, exactly as Val{I: …} does.
+	ri       []int64
+	rf       []float64
+	rv       [][]Val
+	vecDirty bool // some SSA slot of rv may be non-nil
 	nSSA     int
-	tracked  [][]Val // cell slices, for the per-work-item reset
-	counts   []int64 // per-block visit counts of the current work-item
+	tracked  []*cellFile // for the per-work-item reset
+	counts   []int64     // per-block visit counts of the current work-item
 	gCounts  []float64
+	// traces holds one trace buffer per work-item of a group, reused
+	// across the run's groups; accesses is the current work-item's.
+	traces   [][]Access
 	accesses []Access
 	accHint  int // trace length of the previous work-item, for preallocation
 	barriers int
 	steps    int64
 }
 
+// cellFile is the contents of one tracked alloca, split like the
+// register file. v, the lanes' Vec fields, stays nil until a store
+// puts a vector-valued Val into a cell.
+type cellFile struct {
+	i []int64
+	f []float64
+	v [][]Val
+}
+
+func newCellFile(n int64) *cellFile {
+	return &cellFile{i: make([]int64, n), f: make([]float64, n)}
+}
+
+func (c *cellFile) reset() {
+	clear(c.i)
+	clear(c.f)
+	if c.v != nil {
+		clear(c.v)
+	}
+}
+
+func (c *cellFile) load(k int64) Val {
+	v := Val{I: c.i[k], F: c.f[k]}
+	if c.v != nil {
+		v.Vec = c.v[k]
+	}
+	return v
+}
+
+func (c *cellFile) store(k int64, v Val) {
+	c.i[k], c.f[k] = v.I, v.F
+	if v.Vec != nil && c.v == nil {
+		c.v = make([][]Val, len(c.i))
+	}
+	if c.v != nil {
+		c.v[k] = v.Vec
+	}
+}
+
+// val reads slot s as a Val.
+func (x *planExec) val(s int32) Val {
+	return Val{I: x.ri[s], F: x.rf[s], Vec: x.rv[s]}
+}
+
+// setVal writes a Val into slot s.
+func (x *planExec) setVal(s int32, v Val) {
+	x.ri[s], x.rf[s], x.rv[s] = v.I, v.F, v.Vec
+	if v.Vec != nil {
+		x.vecDirty = true
+	}
+}
+
 func newPlanExec(p *static.Plan, cfg *Config, nd NDRange) *planExec {
+	n := p.NumRegs + 1
 	x := &planExec{
 		nd:      nd,
 		blocks:  p.Fn.Blocks,
-		regs:    make([]Val, p.NumRegs+1),
+		ri:      make([]int64, n),
+		rf:      make([]float64, n),
+		rv:      make([][]Val, n),
 		nSSA:    p.NumRegs,
 		counts:  make([]int64, len(p.Fn.Blocks)),
 		gCounts: make([]float64, len(p.Fn.Blocks)),
+		traces:  make([][]Access, nd.WorkGroupSize()),
 	}
 	c := &planCompiler{
 		x:      x,
 		plan:   p,
 		cfg:    cfg,
-		cells:  make(map[*ir.Alloca][]Val, len(p.TrackedAllocas)),
+		cells:  make(map[*ir.Alloca]*cellFile, len(p.TrackedAllocas)),
 		alias:  make(map[*ir.Instr]ir.Value),
 		consts: make(map[[2]uint64]int32),
 		params: make(map[*ir.Param]int32),
 	}
 	for a := range p.TrackedAllocas {
-		cells := make([]Val, a.Count*int64(a.Elem.Lanes()))
+		cells := newCellFile(a.Count * int64(a.Elem.Lanes()))
 		c.cells[a] = cells
 		x.tracked = append(x.tracked, cells)
 	}
@@ -384,11 +475,11 @@ type planCompiler struct {
 	x      *planExec
 	plan   *static.Plan
 	cfg    *Config
-	cells  map[*ir.Alloca][]Val   // tracked alloca contents
-	alias  map[*ir.Instr]ir.Value // folded instructions: the value each equals
-	consts map[[2]uint64]int32    // scalar constant (I, F bits) → slot
-	params map[*ir.Param]int32    // launch scalar → slot
-	plain  map[*ir.Alloca]bool    // see plainCells; nil until first asked
+	cells  map[*ir.Alloca]*cellFile // tracked alloca contents
+	alias  map[*ir.Instr]ir.Value   // folded instructions: the value each equals
+	consts map[[2]uint64]int32      // scalar constant (I, F bits) → slot
+	params map[*ir.Param]int32      // launch scalar → slot
+	plain  map[*ir.Alloca]bool      // see plainCells; nil until first asked
 }
 
 // peephole is the per-block pre-pass. It drops steps that cannot
@@ -657,8 +748,9 @@ func (c *planCompiler) constSlot(v Val) int32 {
 }
 
 func (c *planCompiler) newSlot(v Val) int32 {
-	c.x.regs = append(c.x.regs, v)
-	return int32(len(c.x.regs) - 1)
+	x := c.x
+	x.ri, x.rf, x.rv = append(x.ri, v.I), append(x.rf, v.F), append(x.rv, v.Vec)
+	return int32(len(x.ri) - 1)
 }
 
 // step compiles one kept non-terminator instruction.
@@ -781,8 +873,9 @@ func (c *planCompiler) paramAccess(st *planStep, s *ir.Param, t ast.Type) {
 // runPlan profiles the sampled work-groups of a launch by executing
 // only the plan's slice, reproducing the interpreter's group and
 // work-item iteration order, trace emission, bounds checks and profile
-// accumulation exactly. Buffers are never mutated.
-func runPlan(p *static.Plan, cfg *Config, sample groupSample) (*Profile, error) {
+// accumulation exactly. Each completed group's traces go to sink.
+// Buffers are never mutated.
+func runPlan(p *static.Plan, cfg *Config, sample groupSample, sink GroupSink) (*Profile, error) {
 	nd := cfg.Range.Normalize()
 	groups := nd.NumGroups()
 	if nd.WorkGroupSize() <= 0 {
@@ -804,7 +897,7 @@ loop:
 					break loop
 				}
 				if sample.sel(gid) {
-					if err := x.runGroup([3]int64{gx, gy, gz}, prof); err != nil {
+					if err := x.runGroup([3]int64{gx, gy, gz}, prof, sink); err != nil {
 						return prof, err
 					}
 				}
@@ -826,14 +919,18 @@ loop:
 // phase any work-item faults in, with the error of the first such
 // work-item in dispatch order. So the executor runs every work-item
 // and keeps that error.
-func (x *planExec) runGroup(group [3]int64, prof *Profile) error {
+//
+// Each work-item traces into its own buffer, reused from the previous
+// group. A buffer's first use preallocates it at the previous
+// work-item's trace length: the work-items of one kernel trace
+// near-identical access counts.
+func (x *planExec) runGroup(group [3]int64, prof *Profile, sink GroupSink) error {
 	x.group = group
 	nd := x.nd
 
 	gWIs := 0
 	gBarriers := 0.0
 	clear(x.gCounts)
-	var gTraces [][]Access
 	var gErr error
 	errPhase := 0
 
@@ -846,7 +943,15 @@ func (x *planExec) runGroup(group [3]int64, prof *Profile) error {
 					group[1]*nd.Local[1] + ly,
 					group[2]*nd.Local[2] + lz,
 				}
-				if err := x.runWI(); err != nil {
+				wi := (lz*nd.Local[1]+ly)*nd.Local[0] + lx
+				x.accesses = x.traces[wi][:0]
+				if x.accesses == nil && x.accHint > 0 {
+					x.accesses = make([]Access, 0, x.accHint)
+				}
+				err := x.runWI()
+				x.traces[wi] = x.accesses
+				x.accHint = len(x.accesses)
+				if err != nil {
 					if gErr == nil || x.barriers < errPhase {
 						gErr, errPhase = err, x.barriers
 					}
@@ -862,9 +967,6 @@ func (x *planExec) runGroup(group [3]int64, prof *Profile) error {
 					}
 				}
 				gBarriers += float64(x.barriers)
-				x.accHint = len(x.accesses)
-				gTraces = append(gTraces, x.accesses)
-				x.accesses = nil // ownership moved to the trace
 			}
 		}
 	}
@@ -879,7 +981,9 @@ func (x *planExec) runGroup(group [3]int64, prof *Profile) error {
 		}
 	}
 	prof.Barriers += gBarriers
-	prof.Traces = append(prof.Traces, gTraces...)
+	if sink != nil {
+		sink(x.traces)
+	}
 	return nil
 }
 
@@ -888,25 +992,20 @@ func (x *planExec) runGroup(group [3]int64, prof *Profile) error {
 // evaluator (scalarArithVal, compareVal, castVal, loadElem, storeElem)
 // it replaces, minus the type switches and error plumbing.
 func (x *planExec) runWI() error {
-	clear(x.regs[:x.nSSA])
+	clear(x.ri[:x.nSSA])
+	clear(x.rf[:x.nSSA])
+	if x.vecDirty {
+		clear(x.rv[:x.nSSA])
+		x.vecDirty = false
+	}
 	for _, cells := range x.tracked {
-		clear(cells)
+		cells.reset()
 	}
 	clear(x.counts)
 	x.barriers = 0
 	x.steps = 0
-	// Preallocate the trace at the previous work-item's length — the
-	// work-items of one kernel trace near-identical access counts, so
-	// this removes the append-growth reallocations. A work-item with no
-	// accesses still Diff-equals the interpreter's nil trace: profile
-	// comparison is by length and elements.
-	if x.accHint > 0 {
-		x.accesses = make([]Access, 0, x.accHint)
-	} else {
-		x.accesses = nil
-	}
 
-	regs := x.regs
+	ri, rf := x.ri, x.rf
 	bp := x.entry
 	for {
 		x.counts[bp.idx]++
@@ -918,65 +1017,65 @@ func (x *planExec) runWI() error {
 			st := &bp.steps[i]
 			switch st.act {
 			case aAdd:
-				regs[st.dst] = Val{I: regs[st.a].I + regs[st.b].I}
+				ri[st.dst] = ri[st.a] + ri[st.b]
 			case aSub:
-				regs[st.dst] = Val{I: regs[st.a].I - regs[st.b].I}
+				ri[st.dst] = ri[st.a] - ri[st.b]
 			case aMul:
-				regs[st.dst] = Val{I: regs[st.a].I * regs[st.b].I}
+				ri[st.dst] = ri[st.a] * ri[st.b]
 			case aAnd:
-				regs[st.dst] = Val{I: regs[st.a].I & regs[st.b].I}
+				ri[st.dst] = ri[st.a] & ri[st.b]
 			case aOr:
-				regs[st.dst] = Val{I: regs[st.a].I | regs[st.b].I}
+				ri[st.dst] = ri[st.a] | ri[st.b]
 			case aXor:
-				regs[st.dst] = Val{I: regs[st.a].I ^ regs[st.b].I}
+				ri[st.dst] = ri[st.a] ^ ri[st.b]
 			case aShl:
-				regs[st.dst] = Val{I: regs[st.a].I << uint(regs[st.b].I&63)}
+				ri[st.dst] = ri[st.a] << uint(ri[st.b]&63)
 			case aLShr:
-				regs[st.dst] = Val{I: int64(uint64(regs[st.a].I) >> uint(regs[st.b].I&63))}
+				ri[st.dst] = int64(uint64(ri[st.a]) >> uint(ri[st.b]&63))
 			case aAShr:
-				regs[st.dst] = Val{I: regs[st.a].I >> uint(regs[st.b].I&63)}
+				ri[st.dst] = ri[st.a] >> uint(ri[st.b]&63)
 			case aFAdd:
-				regs[st.dst] = Val{F: regs[st.a].F + regs[st.b].F}
+				rf[st.dst] = rf[st.a] + rf[st.b]
 			case aFSub:
-				regs[st.dst] = Val{F: regs[st.a].F - regs[st.b].F}
+				rf[st.dst] = rf[st.a] - rf[st.b]
 			case aFMul:
-				regs[st.dst] = Val{F: regs[st.a].F * regs[st.b].F}
+				rf[st.dst] = rf[st.a] * rf[st.b]
 			case aFDiv:
-				regs[st.dst] = Val{F: regs[st.a].F / regs[st.b].F}
+				rf[st.dst] = rf[st.a] / rf[st.b]
 			case aICmpEQ:
-				regs[st.dst] = boolVal(regs[st.a].I == regs[st.b].I)
+				ri[st.dst] = boolInt(ri[st.a] == ri[st.b])
 			case aICmpNE:
-				regs[st.dst] = boolVal(regs[st.a].I != regs[st.b].I)
+				ri[st.dst] = boolInt(ri[st.a] != ri[st.b])
 			case aICmpLT:
-				regs[st.dst] = boolVal(regs[st.a].I < regs[st.b].I)
+				ri[st.dst] = boolInt(ri[st.a] < ri[st.b])
 			case aICmpLE:
-				regs[st.dst] = boolVal(regs[st.a].I <= regs[st.b].I)
+				ri[st.dst] = boolInt(ri[st.a] <= ri[st.b])
 			case aICmpGT:
-				regs[st.dst] = boolVal(regs[st.a].I > regs[st.b].I)
+				ri[st.dst] = boolInt(ri[st.a] > ri[st.b])
 			case aICmpGE:
-				regs[st.dst] = boolVal(regs[st.a].I >= regs[st.b].I)
+				ri[st.dst] = boolInt(ri[st.a] >= ri[st.b])
 			case aFCmpEQ:
-				regs[st.dst] = boolVal(regs[st.a].F == regs[st.b].F)
+				ri[st.dst] = boolInt(rf[st.a] == rf[st.b])
 			case aFCmpNE:
-				regs[st.dst] = boolVal(regs[st.a].F != regs[st.b].F)
+				ri[st.dst] = boolInt(rf[st.a] != rf[st.b])
 			case aFCmpLT:
-				regs[st.dst] = boolVal(regs[st.a].F < regs[st.b].F)
+				ri[st.dst] = boolInt(rf[st.a] < rf[st.b])
 			case aFCmpLE:
-				regs[st.dst] = boolVal(regs[st.a].F <= regs[st.b].F)
+				ri[st.dst] = boolInt(rf[st.a] <= rf[st.b])
 			case aFCmpGT:
-				regs[st.dst] = boolVal(regs[st.a].F > regs[st.b].F)
+				ri[st.dst] = boolInt(rf[st.a] > rf[st.b])
 			case aFCmpGE:
-				regs[st.dst] = boolVal(regs[st.a].F >= regs[st.b].F)
+				ri[st.dst] = boolInt(rf[st.a] >= rf[st.b])
 			case aTrunc:
-				regs[st.dst] = Val{I: truncInt(regs[st.a].I, st.kind)}
+				ri[st.dst] = truncInt(ri[st.a], st.kind)
 			case aGlobalID:
-				regs[st.dst] = Val{I: x.global[st.a]}
+				ri[st.dst] = x.global[st.a]
 			case aLocalID:
-				regs[st.dst] = Val{I: x.local[st.a]}
+				ri[st.dst] = x.local[st.a]
 			case aGroupID:
-				regs[st.dst] = Val{I: x.group[st.a]}
+				ri[st.dst] = x.group[st.a]
 			case aLoadParamInt, aLoadParamFloat, aLoadParamVec, aReadParam:
-				idx := regs[st.a].I
+				idx := ri[st.a]
 				base := idx * st.lanes
 				if base < 0 || base+st.lanes > st.lim {
 					return st.outOfBounds("load", idx)
@@ -986,18 +1085,18 @@ func (x *planExec) runWI() error {
 				})
 				switch st.act {
 				case aLoadParamInt:
-					regs[st.dst] = Val{I: st.buf.I[base]}
+					ri[st.dst] = st.buf.I[base]
 				case aLoadParamFloat:
-					regs[st.dst] = Val{F: st.buf.F[base]}
+					rf[st.dst] = st.buf.F[base]
 				case aLoadParamVec:
-					regs[st.dst] = readBufPlain(st.buf, base, st.lanes)
+					x.setVal(st.dst, readBufPlain(st.buf, base, st.lanes))
 				}
 			case aStoreParam:
 				// Global buffers are left untouched — no statically
 				// analyzable kernel reads back what it wrote (that is
 				// the analyzability criterion) — so the store only
 				// traces and bounds-checks.
-				idx := regs[st.a].I
+				idx := ri[st.a]
 				base := idx * st.lanes
 				if base < 0 || base+st.lanes > st.lim {
 					return st.outOfBounds("store", idx)
@@ -1006,7 +1105,7 @@ func (x *planExec) runWI() error {
 					Param: st.param, Index: idx, Bytes: st.bytes, Write: true,
 				})
 			case aAtomicParam:
-				idx := regs[st.a].I
+				idx := ri[st.a]
 				base := idx * st.lanes
 				if base < 0 || base+st.lanes > st.lim {
 					return st.outOfBounds("load", idx)
@@ -1015,32 +1114,42 @@ func (x *planExec) runWI() error {
 					Access{Param: st.param, Index: idx, Bytes: st.bytes, Write: false},
 					Access{Param: st.param, Index: idx, Bytes: st.bytes, Write: true})
 			case aLoadAlloca, aLoadAllocaVec, aCheckLoad:
-				idx := regs[st.a].I
+				idx := ri[st.a]
 				base := idx * st.lanes
 				if base < 0 || base+st.lanes > st.lim {
 					return st.outOfBounds("load", idx)
 				}
 				switch st.act {
 				case aLoadAlloca:
-					regs[st.dst] = st.cells[base]
+					c := st.cells
+					ri[st.dst], rf[st.dst] = c.i[base], c.f[base]
+					if c.v != nil {
+						x.setVal(st.dst, c.load(base))
+					}
 				case aLoadAllocaVec:
 					out := Val{Vec: make([]Val, st.lanes)}
-					copy(out.Vec, st.cells[base:base+st.lanes])
-					regs[st.dst] = out
+					for i := range out.Vec {
+						out.Vec[i] = st.cells.load(base + int64(i))
+					}
+					x.setVal(st.dst, out)
 				}
 			case aStoreAlloca, aStoreAllocaVec, aCheckStore:
-				idx := regs[st.a].I
+				idx := ri[st.a]
 				base := idx * st.lanes
 				if base < 0 || base+st.lanes > st.lim {
 					return st.outOfBounds("store", idx)
 				}
 				switch st.act {
 				case aStoreAlloca:
-					st.cells[base] = regs[st.b]
+					c := st.cells
+					c.i[base], c.f[base] = ri[st.b], rf[st.b]
+					if x.rv[st.b] != nil || c.v != nil {
+						c.store(base, x.val(st.b))
+					}
 				case aStoreAllocaVec:
-					v := regs[st.b]
+					v := x.val(st.b)
 					for i := int64(0); i < st.lanes; i++ {
-						st.cells[base+i] = lane(v, int(i))
+						st.cells.store(base+i, lane(v, int(i)))
 					}
 				}
 			case aBarrier:
@@ -1052,14 +1161,14 @@ func (x *planExec) runWI() error {
 				if err != nil {
 					return err
 				}
-				regs[st.dst] = v
+				x.setVal(st.dst, v)
 			}
 		}
 		switch bp.term {
 		case tBr:
 			bp = bp.to
 		case tCondBr:
-			if truthy(regs[bp.cond]) {
+			if truthy(x.val(bp.cond)) {
 				bp = bp.to
 			} else {
 				bp = bp.els
@@ -1070,11 +1179,11 @@ func (x *planExec) runWI() error {
 	}
 }
 
-func boolVal(b bool) Val {
+func boolInt(b bool) int64 {
 	if b {
-		return Val{I: 1}
+		return 1
 	}
-	return Val{}
+	return 0
 }
 
 // outOfBounds is the interpreter's bounds error for the step's access.
@@ -1086,7 +1195,7 @@ func (st *planStep) outOfBounds(verb string, idx int64) error {
 // evaluators the interpreter uses, so semantics and error strings match.
 func (x *planExec) generic(st *planStep) (Val, error) {
 	in := st.in
-	arg := func(i int) Val { return x.regs[st.args[i]] }
+	arg := func(i int) Val { return x.val(st.args[i]) }
 	all := func() []Val {
 		vs := make([]Val, len(st.args))
 		for i := range st.args {

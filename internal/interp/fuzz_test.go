@@ -54,8 +54,10 @@ func fuzzConfig(f *ir.Func) *interp.Config {
 // analyzer and both profiler paths. Invariants, for each kernel that
 // compiles: nothing panics; and whenever the analyzer claims a kernel,
 // the static profile must agree with the interpreter's bitwise or fail
-// exactly where the interpreter fails. The analyzer declining is always
-// acceptable; silently diverging never is.
+// exactly where the interpreter fails; and a copying sink fed by either
+// path's streaming entry reproduces that path's materialised profile.
+// The analyzer declining is always acceptable; silently diverging never
+// is.
 func FuzzAffineAnalyzer(f *testing.F) {
 	for _, k := range bench.All() {
 		f.Add(k.Source)
@@ -96,6 +98,16 @@ func FuzzAffineAnalyzer(f *testing.F) {
 			if !sok {
 				continue // interpreter-only kernel: reaching here without a panic is the invariant
 			}
+			checkStreamed(t, "ProfileKernelTo", src, kf, func(cfg *interp.Config, sink interp.GroupSink) (*interp.Profile, error) {
+				return interp.ProfileKernelTo(kf, cfg, 2, sink)
+			}, func(cfg *interp.Config) (*interp.Profile, error) {
+				return interp.ProfileKernel(kf, cfg, 2)
+			})
+			checkStreamed(t, "interpreter", src, kf, func(cfg *interp.Config, sink interp.GroupSink) (*interp.Profile, error) {
+				return interp.InterpProfileToForTest(kf, cfg, 2, sink)
+			}, func(cfg *interp.Config) (*interp.Profile, error) {
+				return interp.InterpProfile(kf, cfg, 2, false)
+			})
 			// The runaway-step guard counts in different granularity on
 			// the two paths (per block entry vs per instruction), so a
 			// kernel at the limit's edge may legitimately trip only one
@@ -122,4 +134,37 @@ func FuzzAffineAnalyzer(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkStreamed runs one profiling path twice on fresh launches: once
+// streaming into a sink that copies every group as it arrives, once
+// materialising the traces. The copies must reproduce the materialised
+// profile exactly, or both runs fail with the same error: a sink that
+// saw a reused trace buffer before it was complete, or one overwritten
+// while still in use, would differ.
+func checkStreamed(t *testing.T, path, src string, kf *ir.Func,
+	stream func(*interp.Config, interp.GroupSink) (*interp.Profile, error),
+	materialise func(*interp.Config) (*interp.Profile, error)) {
+	t.Helper()
+	var copied [][]interp.Access
+	sp, serr := stream(fuzzConfig(kf), func(group [][]interp.Access) {
+		for _, tr := range group {
+			copied = append(copied, append([]interp.Access(nil), tr...))
+		}
+	})
+	mp, merr := materialise(fuzzConfig(kf))
+	if (serr == nil) != (merr == nil) || serr != nil && serr.Error() != merr.Error() {
+		t.Errorf("%s: %s: streamed error %v, materialised %v\nsource:\n%s", kf.Name, path, serr, merr, src)
+		return
+	}
+	if serr != nil {
+		return // a failed run's sink state is discarded
+	}
+	if sp.Traces != nil {
+		t.Errorf("%s: %s: streamed profile kept %d traces", kf.Name, path, len(sp.Traces))
+	}
+	sp.Traces = copied
+	if d := sp.Diff(mp); d != "" {
+		t.Errorf("%s: %s: streamed != materialised: %s\nsource:\n%s", kf.Name, path, d, src)
+	}
 }

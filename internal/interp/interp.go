@@ -124,7 +124,8 @@ type Profile struct {
 	// work-item (the trip-count information of §3.2).
 	BlockCounts map[*ir.Block]float64
 	// Traces holds the per-work-item global access sequences, in
-	// work-item issue order within each profiled group.
+	// work-item issue order within each profiled group. ProfileKernelTo
+	// streams them to its sink instead and leaves Traces nil.
 	Traces [][]Access
 	// Params is the profiled kernel's parameter list; Access.Param
 	// indexes it. Diff reads it to name buffers.
@@ -141,9 +142,15 @@ type Profile struct {
 // Run executes every work-group of the kernel, mutating the buffers.
 // It returns an execution error (bad memory access, missing argument).
 func Run(f *ir.Func, cfg *Config) error {
-	_, err := execute(f, cfg, prefixSample(-1), false)
+	_, err := execute(f, cfg, prefixSample(-1), nil)
 	return err
 }
+
+// A GroupSink receives the global-memory traces of each profiled
+// work-group as the group completes, in dispatch order: one access
+// slice per work-item, in work-item issue order. The slices are valid
+// only during the call; a sink that keeps them must copy.
+type GroupSink func(group [][]Access)
 
 // ProfileKernel collects trip counts and global-memory traces for up to
 // maxGroups work-groups (default 2). The profiled groups are the first
@@ -159,7 +166,19 @@ func ProfileKernel(f *ir.Func, cfg *Config, maxGroups int) (*Profile, error) {
 	if maxGroups <= 0 {
 		maxGroups = 2
 	}
-	return profileDispatch(f, cfg, maxGroups, false)
+	return profileCopy(f, cfg, sampleFor(cfg, maxGroups, false))
+}
+
+// ProfileKernelTo is ProfileKernel streaming the traces: each profiled
+// work-group's traces go to sink as the group completes, and the
+// returned profile's Traces is nil, so no trace outlives its group.
+// When profiling fails, sink may also have received the groups of an
+// abandoned fast-path run; the caller discards its state.
+func ProfileKernelTo(f *ir.Func, cfg *Config, maxGroups int, sink GroupSink) (*Profile, error) {
+	if maxGroups <= 0 {
+		maxGroups = 2
+	}
+	return profileDispatch(f, cfg, sampleFor(cfg, maxGroups, false), func() GroupSink { return sink })
 }
 
 // ProfileKernelSpread is ProfileKernel with representative sampling:
@@ -176,7 +195,7 @@ func ProfileKernelSpread(f *ir.Func, cfg *Config, maxGroups int) (*Profile, erro
 	if maxGroups <= 0 {
 		maxGroups = 2
 	}
-	return profileDispatch(f, cfg, maxGroups, true)
+	return profileCopy(f, cfg, sampleFor(cfg, maxGroups, true))
 }
 
 // sampleFor builds the group sample of a profiling run: the prefix of
@@ -219,7 +238,10 @@ var errGroupAborted = errors.New("interp: work-group aborted after a peer error"
 // execError aborts a work-item with a diagnostic.
 type execError struct{ err error }
 
-func execute(f *ir.Func, cfg *Config, sample groupSample, trace bool) (*Profile, error) {
+// execute runs the sampled work-groups on the interpreter. With a sink,
+// work-items trace their global accesses and each completed group's
+// traces go to it.
+func execute(f *ir.Func, cfg *Config, sample groupSample, sink GroupSink) (*Profile, error) {
 	nd := cfg.Range.Normalize()
 	groups := nd.NumGroups()
 	wgSize := nd.WorkGroupSize()
@@ -242,7 +264,7 @@ loop:
 					break loop
 				}
 				if sample.sel(gid) {
-					if err := runGroup(f, cfg, nd, [3]int64{gx, gy, gz}, trace, prof, &mu); err != nil {
+					if err := runGroup(f, cfg, nd, [3]int64{gx, gy, gz}, sink, prof, &mu); err != nil {
 						return prof, err
 					}
 				}
@@ -322,7 +344,7 @@ func (b *wgBarrier) wait() bool {
 	return true
 }
 
-func runGroup(f *ir.Func, cfg *Config, nd NDRange, group [3]int64, trace bool,
+func runGroup(f *ir.Func, cfg *Config, nd NDRange, group [3]int64, sink GroupSink,
 	prof *Profile, mu *sync.Mutex) error {
 
 	wgSize := nd.WorkGroupSize()
@@ -350,7 +372,7 @@ func runGroup(f *ir.Func, cfg *Config, nd NDRange, group [3]int64, trace bool,
 				w := &wiState{
 					f: f, cfg: cfg, nd: nd, group: group,
 					local: [3]int64{lx, ly, lz}, global: gid,
-					locals: locals, bar: bar, trace: trace,
+					locals: locals, bar: bar, trace: sink != nil,
 					blockCounts: make(map[*ir.Block]int64),
 					mu:          mu,
 				}
@@ -403,9 +425,13 @@ func runGroup(f *ir.Func, cfg *Config, nd NDRange, group [3]int64, trace bool,
 			prof.BlockCounts[b] += float64(c)
 		}
 		prof.Barriers += float64(w.barriers)
-		if trace {
-			prof.Traces = append(prof.Traces, w.accesses)
+	}
+	if sink != nil {
+		traces := make([][]Access, len(wis))
+		for i, w := range wis {
+			traces[i] = w.accesses
 		}
+		sink(traces)
 	}
 	return nil
 }

@@ -387,6 +387,52 @@ func TestStaticCastOfNonPlainScalar(t *testing.T) {
 	}
 }
 
+// TestStaticVectorValuedScalar pins the lane file of the split register
+// file and private cells: a scalar argument bound to a vector Val has
+// I == F == 0 but is truthy through its lanes, so a branch on it —
+// directly, or reloaded from a private cell in a later block — must
+// still be taken, as the interpreter takes it.
+func TestStaticVectorValuedScalar(t *testing.T) {
+	for _, viaCell := range []bool{false, true} {
+		k := newIRKernel()
+		n := &ir.Param{PName: "n", T: ast.Scalar(ast.KInt), Index: 1}
+		k.f.Params = append(k.f.Params, n)
+		entry, test, then, exit := k.f.NewBlock("entry"), k.f.NewBlock("test"), k.f.NewBlock("then"), k.f.NewBlock("exit")
+		var v ir.Value = n
+		if viaCell {
+			c := k.cell("c")
+			k.emit(entry, ir.OpStore, c, ir.IntConst(ast.KLong, 0), n)
+			v = k.emit(test, ir.OpLoad, c, ir.IntConst(ast.KLong, 0))
+		}
+		k.emit(entry, ir.OpBr, nil).To = test
+		br := k.emit(test, ir.OpCondBr, nil, v)
+		br.To, br.Else = then, exit
+		k.emit(then, ir.OpStore, k.x, ir.IntConst(ast.KLong, 0), ir.IntConst(ast.KInt, 1))
+		k.emit(then, ir.OpBr, nil).To = exit
+		k.emit(exit, ir.OpRet, nil)
+
+		cfg := func() *interp.Config {
+			c := fuzzConfig(k.f)
+			c.Scalars["n"] = interp.Val{Vec: []interp.Val{{}, {I: 5}}}
+			return c
+		}
+		sp, ok, err := interp.StaticProfile(k.f, cfg(), 2, false)
+		if !ok || err != nil {
+			t.Fatalf("viaCell=%v: static profile: ok=%v err=%v", viaCell, ok, err)
+		}
+		ip, err := interp.InterpProfile(k.f, cfg(), 2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ip.Traces) == 0 || len(ip.Traces[0]) != 1 {
+			t.Fatalf("viaCell=%v: the interpreter did not take the branch: %v", viaCell, ip.Traces)
+		}
+		if d := sp.Diff(ip); d != "" {
+			t.Errorf("viaCell=%v: static != interp: %s", viaCell, d)
+		}
+	}
+}
+
 // TestCovarianceInnerBodySteps pins the peepholes on the heaviest static
 // prep key: covariance's inner loop body runs 20 steps per iteration
 // without them (repeated private-cell loads, a dead accumulator load

@@ -167,8 +167,14 @@ func Analyze(ctx context.Context, f *ir.Func, p *device.Platform, cfg *interp.Co
 		return nil, fmt.Errorf("model: analyzing %s: %w", f.Name, err)
 	}
 	f.EnsureLoops()
+	// The profiler streams each work-group's traces straight into the
+	// burst classifier (§3.4 classifies per work-group), so no trace
+	// outlives its group; on error the classifier is dropped with the
+	// profile.
+	layout := trace.NewLayout(f, trace.BufferCounts(f, cfg), p.DRAM)
+	cl := trace.NewClassifier(layout, p.DRAM, p.MemAccessUnitBits/8)
 	_, psp := telemetry.Start(ctx, "profile")
-	prof, err := interp.ProfileKernel(f, cfg, opts.ProfileGroups)
+	prof, err := interp.ProfileKernelTo(f, cfg, opts.ProfileGroups, cl.Group)
 	if prof != nil {
 		psp.Annotate("source", string(prof.Source))
 	}
@@ -181,9 +187,7 @@ func Analyze(ctx context.Context, f *ir.Func, p *device.Platform, cfg *interp.Co
 		return nil, fmt.Errorf("model: analyzing %s: %w", f.Name, err)
 	}
 	_, msp := telemetry.Start(ctx, "memtrace")
-	layout := trace.NewLayout(f, trace.BufferCounts(f, cfg), p.DRAM)
-	nd := cfg.Range.Normalize()
-	cls := trace.ClassifyGrouped(prof.Traces, nd.WorkGroupSize(), layout, p.DRAM, p.MemAccessUnitBits/8)
+	cls := cl.Result()
 	msp.Annotate("bursts_per_wi", fmt.Sprintf("%.3f", cls.BurstsPerWI))
 	msp.End()
 	if err := ctx.Err(); err != nil {
@@ -193,6 +197,7 @@ func Analyze(ctx context.Context, f *ir.Func, p *device.Platform, cfg *interp.Co
 	table := device.Profile(p, opts.OpSamples)
 	patLat := patternLatencies(p.DRAM, opts.DRAMSamples, device.HashString(p.Name))
 	dsp.End()
+	nd := cfg.Range.Normalize()
 	return &Analysis{
 		F:        f,
 		Platform: p,

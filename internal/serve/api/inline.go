@@ -16,10 +16,12 @@ const InlineBench = "inline"
 // Inline launch caps. Synthesized buffers are allocated and filled
 // element by element on every compile, so an unbounded global or
 // buf_lens would let one request exhaust memory. The largest bundled
-// launch is 2^18 work-items.
+// launch is 2^18 work-items, and the largest bundled or generated
+// kernel source is 1,433 bytes.
 const (
-	maxInlineWorkItems = 1 << 24 // product of the global dimensions
-	maxInlineBufElems  = 1 << 24 // elements of one buffer, and of all together
+	maxInlineWorkItems = 1 << 24  // product of the global dimensions
+	maxInlineBufElems  = 1 << 24  // elements of one buffer, and of all together
+	maxInlineSource    = 64 << 10 // bytes of kernel source
 )
 
 // inlineKernel builds a bench.Kernel from an inline source reference:
@@ -30,6 +32,10 @@ const (
 // only on source + workload, so two requests carrying the same inline
 // kernel coalesce onto one compile+analyze in the prep cache.
 func inlineKernel(ref KernelRef) (*bench.Kernel, *Error) {
+	if len(ref.Source) > maxInlineSource {
+		return nil, Errf(CodeBadRequest, http.StatusBadRequest,
+			"inline kernel source: %d bytes exceeds %d", len(ref.Source), maxInlineSource)
+	}
 	if ref.Fn == "" {
 		return nil, Errf(CodeBadRequest, http.StatusBadRequest,
 			"inline kernel requires fn (the __kernel entry point)")

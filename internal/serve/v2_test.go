@@ -165,20 +165,22 @@ func TestV2InlineLaunchBounds(t *testing.T) {
 }`
 	cases := []struct {
 		name    string
+		src     string
 		global  []int64
 		bufLens map[string]int64
 		substr  string
 	}{
-		{"overflowing global", []int64{1 << 31, 1 << 31}, nil, "global"},
-		{"global over cap", []int64{1 << 13, 1 << 13, 1 << 13}, nil, "global"},
-		{"buf_lens over cap", []int64{1024}, map[string]int64{"x": 1 << 25}, `buf_lens["x"]`},
-		{"buf_lens total over cap", []int64{1024}, map[string]int64{"x": 1 << 24, "y": 1}, "buf_lens"},
+		{"source over cap", src + strings.Repeat(" ", 64<<10), []int64{1024}, nil, "source"},
+		{"overflowing global", src, []int64{1 << 31, 1 << 31}, nil, "global"},
+		{"global over cap", src, []int64{1 << 13, 1 << 13, 1 << 13}, nil, "global"},
+		{"buf_lens over cap", src, []int64{1024}, map[string]int64{"x": 1 << 25}, `buf_lens["x"]`},
+		{"buf_lens total over cap", src, []int64{1024}, map[string]int64{"x": 1 << 24, "y": 1}, "buf_lens"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			req := map[string]any{
 				"kernel": map[string]any{
-					"source": src, "fn": "scale", "global": tc.global,
+					"source": tc.src, "fn": "scale", "global": tc.global,
 					"buf_lens": tc.bufLens, "scalars": map[string]int64{"n": 3},
 				},
 				"design": map[string]any{"wg_size": 64},

@@ -153,84 +153,129 @@ func (c *Classified) CoalescingFactor() float64 {
 	return c.RawPerWI / c.BurstsPerWI
 }
 
-// ClassifyGrouped splits the profiled work-item traces into work-groups
-// of wgSize, coalesces each group in pipeline issue order (CoalesceWG),
-// maps every burst to its bank under the interleaved policy and
-// classifies it against the bank's row buffer and last operation.
-// N counts are per-work-item averages.
-//
-// The first quarter of the profiled groups serve as warm-up: their bursts
-// update the bank state but are not counted, so the short profiling
-// window of §3.2 does not over-represent cold row-buffer misses relative
-// to the launch's steady state.
+// ClassifyGrouped classifies materialised traces: it splits the
+// profiled work-item traces into work-groups of wgSize and feeds them,
+// in order, to a Classifier. N counts are per-work-item averages.
 func ClassifyGrouped(traces [][]interp.Access, wgSize int64, l Layout, p device.DRAMParams, unitBytes int) *Classified {
-	c := &Classified{WorkItems: len(traces)}
-	if len(traces) == 0 {
-		return c
-	}
 	if wgSize <= 0 {
 		wgSize = 1
 	}
-	sim := dram.NewSim(p)
-	type bankState struct {
-		hasOpen   bool
-		openRow   int64
-		prevWrite bool
-	}
-	banks := make([]bankState, sim.P.Banks)
-
+	c := NewClassifier(l, p, unitBytes)
 	nwi := int64(len(traces))
-	groups := (nwi + wgSize - 1) / wgSize
-	warmup := int64(0)
-	if groups > 1 {
-		warmup = max(1, groups/4)
+	for lo := int64(0); lo < nwi; lo += wgSize {
+		c.Group(traces[lo:min(lo+wgSize, nwi)])
 	}
-	var (
-		count  bool // the current group is past the warm-up
-		bursts int  // bursts of the current group
-	)
-	classify := func(b Burst) {
-		bursts++
-		st := &banks[sim.BankOf(b.Addr)]
-		row := sim.RowOf(b.Addr)
-		if count {
-			c.N[patternOf(b.Write, st.prevWrite, st.hasOpen && st.openRow == row)]++
-			if b.Write {
-				c.Writes++
-			} else {
-				c.Reads++
-			}
+	return c.Result()
+}
+
+// Classifier classifies a profile's memory traffic one work-group at a
+// time, as the profiler completes the groups: it coalesces each group
+// in pipeline issue order (CoalesceWG), maps every burst to its bank
+// under the interleaved policy and classifies it against the bank's
+// row buffer and last operation. It keeps the bank state and one
+// integer tally per group, never the traces. Its Group method is an
+// interp.GroupSink.
+type Classifier struct {
+	l      Layout
+	unit   int
+	sim    *dram.Sim
+	banks  []bankState
+	groups []groupTally
+	cur    *groupTally // the group being classified
+}
+
+type bankState struct {
+	hasOpen   bool
+	openRow   int64
+	prevWrite bool
+}
+
+// groupTally counts one work-group's traffic.
+type groupTally struct {
+	wis, raw, bursts, reads, writes int64
+	n                               [dram.NumPatterns]int64
+}
+
+// NewClassifier returns a classifier for traces laid out by l.
+func NewClassifier(l Layout, p device.DRAMParams, unitBytes int) *Classifier {
+	sim := dram.NewSim(p)
+	return &Classifier{
+		l:      l,
+		unit:   unitBytes,
+		sim:    sim,
+		banks:  make([]bankState, sim.P.Banks),
+		groups: make([]groupTally, 0, 8), // the prep path profiles 8 groups
+	}
+}
+
+// Group classifies the next work-group: one access trace per
+// work-item, in work-item issue order. The traces are not retained.
+func (c *Classifier) Group(group [][]interp.Access) {
+	c.groups = append(c.groups, groupTally{wis: int64(len(group))})
+	c.cur = &c.groups[len(c.groups)-1]
+	for _, tr := range group {
+		c.cur.raw += int64(len(tr))
+	}
+	CoalesceWG(group, c.l, c.unit, c.classify)
+}
+
+func (c *Classifier) classify(b Burst) {
+	t := c.cur
+	st := &c.banks[c.sim.BankOf(b.Addr)]
+	row := c.sim.RowOf(b.Addr)
+	t.bursts++
+	t.n[patternOf(b.Write, st.prevWrite, st.hasOpen && st.openRow == row)]++
+	if b.Write {
+		t.writes++
+	} else {
+		t.reads++
+	}
+	st.hasOpen = true
+	st.openRow = row
+	st.prevWrite = b.Write
+}
+
+// Result returns the per-work-item averages over the groups classified
+// so far. The first quarter of the groups (at least one, when there
+// are several) serve as warm-up: their bursts updated the bank state
+// but are not counted, so the short profiling window of §3.2 does not
+// over-represent cold row-buffer misses relative to the launch's
+// steady state. Tallies are integers divided once, so the averages do
+// not depend on summation order.
+func (c *Classifier) Result() *Classified {
+	warmup := 0
+	if len(c.groups) > 1 {
+		warmup = max(1, len(c.groups)/4)
+	}
+	var total int64
+	var sum groupTally
+	for i, g := range c.groups {
+		total += g.wis
+		if i < warmup {
+			continue
 		}
-		st.hasOpen = true
-		st.openRow = row
-		st.prevWrite = b.Write
-	}
-	counted := 0 // work-items in counted groups
-	for gi := int64(0); gi < groups; gi++ {
-		lo := gi * wgSize
-		hi := min(lo+wgSize, nwi)
-		count, bursts = gi >= warmup, 0
-		CoalesceWG(traces[lo:hi], l, unitBytes, classify)
-		if count {
-			counted += int(hi - lo)
-			for _, tr := range traces[lo:hi] {
-				c.RawPerWI += float64(len(tr))
-			}
-			c.BurstsPerWI += float64(bursts)
+		sum.wis += g.wis
+		sum.raw += g.raw
+		sum.bursts += g.bursts
+		sum.reads += g.reads
+		sum.writes += g.writes
+		for p, k := range g.n {
+			sum.n[p] += k
 		}
 	}
-	if counted == 0 {
-		return c
+	res := &Classified{WorkItems: int(total)}
+	if sum.wis == 0 {
+		return res
 	}
-	n := float64(counted)
-	for i := range c.N {
-		c.N[i] /= n
+	n := float64(sum.wis)
+	for i, k := range sum.n {
+		res.N[i] = float64(k) / n
 	}
-	c.BurstsPerWI /= n
-	c.RawPerWI /= n
-	c.Reads /= n
-	c.Writes /= n
-	return c
+	res.BurstsPerWI = float64(sum.bursts) / n
+	res.RawPerWI = float64(sum.raw) / n
+	res.Reads = float64(sum.reads) / n
+	res.Writes = float64(sum.writes) / n
+	return res
 }
 
 // patternOf mirrors the dram package's classification.
@@ -263,11 +308,12 @@ func MemLatencyWI(c *Classified, lat dram.PatternLatencies) float64 {
 }
 
 // BufferCounts extracts buffer element counts from an interp
-// configuration, for layout construction.
+// configuration, for layout construction. Unbound buffers are left to
+// the profiler to report.
 func BufferCounts(f *ir.Func, cfg *interp.Config) map[string]int64 {
 	counts := make(map[string]int64)
 	for _, prm := range f.GlobalParams() {
-		if b, ok := cfg.Buffers[prm.PName]; ok {
+		if b := cfg.Buffers[prm.PName]; b != nil {
 			counts[prm.PName] = int64(b.Len())
 		}
 	}
