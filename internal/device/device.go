@@ -13,6 +13,7 @@ package device
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/opencl/ast"
@@ -218,6 +219,38 @@ func (p *Platform) OpInfo(c OpClass) OpInfo {
 		return oi
 	}
 	return OpInfo{Variants: []int{1}, II: 1}
+}
+
+// SameOps reports whether p and q have the same operation catalogue:
+// equal implementation descriptors for every class.
+func (p *Platform) SameOps(q *Platform) bool {
+	for c := OpClass(0); c < numClasses; c++ {
+		a, b := p.OpInfo(c), q.OpInfo(c)
+		if a.DSP != b.DSP || a.II != b.II || !slices.Equal(a.Variants, b.Variants) {
+			return false
+		}
+	}
+	return true
+}
+
+// OpsHash folds the operation catalogue into 64 bits: platforms with
+// the same catalogue hash alike (see SameOps).
+func (p *Platform) OpsHash() uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(v int) {
+		h ^= uint64(v)
+		h *= 1099511628211
+	}
+	for c := OpClass(0); c < numClasses; c++ {
+		oi := p.OpInfo(c)
+		mix(oi.DSP)
+		mix(oi.II)
+		mix(len(oi.Variants))
+		for _, v := range oi.Variants {
+			mix(v)
+		}
+	}
+	return h
 }
 
 // LocalReadPorts returns the total local-memory read ports per CU.
@@ -458,8 +491,9 @@ func (t *LatencyTable) CoreII(c OpClass) int {
 
 // Profile runs the micro-benchmark profiling step: for each operation
 // class it samples the implementation variants the tool chooses across
-// many synthetic instances and records the mean latency. Deterministic
-// for a given platform.
+// many synthetic instances and records the mean latency. It is a pure
+// function of the platform's name (the sampling seed), its operation
+// catalogue and samples.
 func Profile(p *Platform, samples int) *LatencyTable {
 	if samples <= 0 {
 		samples = 256

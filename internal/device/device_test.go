@@ -177,3 +177,24 @@ func TestU250Catalogued(t *testing.T) {
 		t.Error("U250 fmul should be faster (shallower pipeline at higher clock)")
 	}
 }
+
+// TestSameOps checks the catalogue comparison behind the latency-table
+// memo: equal catalogues compare and hash alike, and one changed
+// variant latency is told apart.
+func TestSameOps(t *testing.T) {
+	a, b := Virtex7(), Virtex7()
+	if !a.SameOps(b) || a.OpsHash() != b.OpsHash() {
+		t.Fatal("two Virtex-7 catalogues differ")
+	}
+	b.ops = map[OpClass]OpInfo{}
+	for c, oi := range a.ops {
+		b.ops[c] = oi
+	}
+	fadd := b.ops[ClassFAdd]
+	fadd.Variants = append([]int(nil), fadd.Variants...)
+	fadd.Variants[0]++
+	b.ops[ClassFAdd] = fadd
+	if a.SameOps(b) || a.OpsHash() == b.OpsHash() {
+		t.Error("a changed FAdd variant went unnoticed")
+	}
+}

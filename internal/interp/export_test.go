@@ -43,3 +43,23 @@ func PlanStepsForTest(f *ir.Func, cfg *Config) map[string]int {
 	walk(x.entry)
 	return out
 }
+
+// SummarizedLoopsForTest profiles f on the static executor and returns,
+// by loop header label, how many loop entries ran in closed form; nil
+// when f is not statically analyzable. Loops with a compiled summary
+// that never fired map to 0.
+func SummarizedLoopsForTest(f *ir.Func, cfg *Config, maxGroups int) (map[string]int64, error) {
+	plan, err := planFor(f)
+	if err != nil {
+		return nil, nil
+	}
+	_, x, err := execPlan(plan, cfg, sampleFor(cfg, maxGroups, false), nil)
+	if x == nil {
+		return nil, err
+	}
+	out := make(map[string]int64, len(x.sums))
+	for _, d := range x.sums {
+		out[x.blocks[d.head].Label()] += d.hits
+	}
+	return out, err
+}

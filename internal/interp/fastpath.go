@@ -57,6 +57,7 @@ func profileDispatch(f *ir.Func, cfg *Config, sample groupSample, newSink func()
 		prof, err := runPlan(plan, cfg, sample, newSink())
 		if err == nil {
 			obs.Global().Counter("profile_static_total", "").Inc()
+			obs.Global().Counter("profile_loop_iterations_summarized_total", "").Add(uint64(prof.LoopIters.Summarized))
 			prof.Source = SourceStatic
 			return prof, nil
 		}
@@ -323,6 +324,9 @@ type blockPlan struct {
 	term    uint8
 	to, els *blockPlan
 	cond    int32
+	// sum, set on a loop header's entry copy, runs the loop in closed
+	// form (loopsum.go).
+	sum *loopSum
 }
 
 // planExec executes the profile slice of one plan. One instance serves
@@ -358,6 +362,10 @@ type planExec struct {
 	accHint  int // trace length of the previous work-item, for preallocation
 	barriers int
 	steps    int64
+	// loopIters counts the current work-item's latch visits that
+	// summaries produced instead of stepping.
+	loopIters int64
+	sums      []*loopSum // every compiled loop summary
 }
 
 // cellFile is the contents of one tracked alloca, split like the
@@ -467,6 +475,7 @@ func newPlanExec(p *static.Plan, cfg *Config, nd NDRange) *planExec {
 		}
 	}
 	x.entry = plans[p.Fn.Entry()]
+	c.summarizeLoops(plans)
 	return x
 }
 
@@ -876,13 +885,20 @@ func (c *planCompiler) paramAccess(st *planStep, s *ir.Param, t ast.Type) {
 // accumulation exactly. Each completed group's traces go to sink.
 // Buffers are never mutated.
 func runPlan(p *static.Plan, cfg *Config, sample groupSample, sink GroupSink) (*Profile, error) {
+	prof, _, err := execPlan(p, cfg, sample, sink)
+	return prof, err
+}
+
+// execPlan is runPlan, also returning the executor it ran (nil when
+// the launch is rejected up front).
+func execPlan(p *static.Plan, cfg *Config, sample groupSample, sink GroupSink) (*Profile, *planExec, error) {
 	nd := cfg.Range.Normalize()
 	groups := nd.NumGroups()
 	if nd.WorkGroupSize() <= 0 {
-		return nil, fmt.Errorf("interp: empty work-group")
+		return nil, nil, fmt.Errorf("interp: empty work-group")
 	}
 	if err := validateArgs(p.Fn, cfg); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	prof := &Profile{BlockCounts: make(map[*ir.Block]float64), Params: p.Fn.Params}
@@ -898,15 +914,15 @@ loop:
 				}
 				if sample.sel(gid) {
 					if err := x.runGroup([3]int64{gx, gy, gz}, prof, sink); err != nil {
-						return prof, err
+						return prof, x, err
 					}
 				}
 				gid++
 			}
 		}
 	}
-	finalizeProfile(prof)
-	return prof, nil
+	finalizeProfile(p.Fn, prof)
+	return prof, x, nil
 }
 
 // runGroup executes every work-item of one group. Like the
@@ -930,6 +946,7 @@ func (x *planExec) runGroup(group [3]int64, prof *Profile, sink GroupSink) error
 
 	gWIs := 0
 	gBarriers := 0.0
+	var gLoopIters int64
 	clear(x.gCounts)
 	var gErr error
 	errPhase := 0
@@ -967,6 +984,7 @@ func (x *planExec) runGroup(group [3]int64, prof *Profile, sink GroupSink) error
 					}
 				}
 				gBarriers += float64(x.barriers)
+				gLoopIters += x.loopIters
 			}
 		}
 	}
@@ -981,6 +999,7 @@ func (x *planExec) runGroup(group [3]int64, prof *Profile, sink GroupSink) error
 		}
 	}
 	prof.Barriers += gBarriers
+	prof.LoopIters.Summarized += gLoopIters
 	if sink != nil {
 		sink(x.traces)
 	}
@@ -1004,10 +1023,15 @@ func (x *planExec) runWI() error {
 	clear(x.counts)
 	x.barriers = 0
 	x.steps = 0
+	x.loopIters = 0
 
 	ri, rf := x.ri, x.rf
 	bp := x.entry
 	for {
+		if bp.sum != nil && x.summarize(bp.sum) {
+			bp = bp.sum.exit
+			continue
+		}
 		x.counts[bp.idx]++
 		x.steps += bp.nInstr
 		if x.steps > profStepLimit {
@@ -1168,7 +1192,13 @@ func (x *planExec) runWI() error {
 		case tBr:
 			bp = bp.to
 		case tCondBr:
-			if truthy(x.val(bp.cond)) {
+			// truthy(x.val(c)), building the Val only for a vector.
+			c := bp.cond
+			taken := ri[c] != 0 || rf[c] != 0
+			if x.rv[c] != nil {
+				taken = truthy(x.val(c))
+			}
+			if taken {
 				bp = bp.to
 			} else {
 				bp = bp.els

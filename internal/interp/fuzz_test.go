@@ -71,6 +71,9 @@ func FuzzAffineAnalyzer(f *testing.F) {
 	for _, h := range hazardKernels {
 		f.Add(h.src)
 	}
+	for _, k := range loopEdgeKernels {
+		f.Add(k.src)
+	}
 
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<16 {

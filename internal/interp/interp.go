@@ -137,6 +137,19 @@ type Profile struct {
 	// Source records which profiling path produced the profile (see
 	// fastpath.go); it is informational and excluded from Diff.
 	Source Source
+	// LoopIters splits the loop iterations of the profiled work-items
+	// by how the executor produced them; informational and excluded
+	// from Diff.
+	LoopIters LoopIters
+}
+
+// LoopIters counts loop iterations, as visits of each natural loop's
+// latch block, over the work-items of the completed groups.
+type LoopIters struct {
+	// Summarized iterations were emitted in closed form (loopsum.go).
+	Summarized int64
+	// Stepped iterations were executed one by one, by either path.
+	Stepped int64
 }
 
 // Run executes every work-group of the kernel, mutating the buffers.
@@ -272,7 +285,7 @@ loop:
 			}
 		}
 	}
-	finalizeProfile(prof)
+	finalizeProfile(f, prof)
 	return prof, nil
 }
 
@@ -291,7 +304,18 @@ func validateArgs(f *ir.Func, cfg *Config) error {
 	return nil
 }
 
-func finalizeProfile(p *Profile) {
+// finalizeProfile turns the summed block visits of the completed groups
+// into per-work-item averages, after counting the loop iterations they
+// hold.
+func finalizeProfile(f *ir.Func, p *Profile) {
+	f.EnsureLoops()
+	var iters float64
+	for _, l := range f.Loops {
+		if l.Latch != nil {
+			iters += p.BlockCounts[l.Latch]
+		}
+	}
+	p.LoopIters.Stepped = int64(iters) - p.LoopIters.Summarized
 	if p.WorkItems > 0 {
 		for b := range p.BlockCounts {
 			p.BlockCounts[b] /= float64(p.WorkItems)

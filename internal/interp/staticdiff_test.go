@@ -6,6 +6,10 @@
 package interp_test
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"sort"
 	"strings"
 	"testing"
 
@@ -520,4 +524,99 @@ func TestDispatcherRecordsSource(t *testing.T) {
 	if prof.Source == interp.SourceStatic {
 		t.Error("datadep must not take the static path")
 	}
+}
+
+var updateLoops = flag.Bool("update", false, "rewrite testdata/summarized_loops.txt from the current executor")
+
+// summarizedRequired are the kernels whose inner loops must run in
+// closed form at every prep key.
+var summarizedRequired = []string{
+	"gemm/gemm", "2mm/mm2", "3mm/mm3", "syrk/syrk", "syr2k/syr2k",
+	"covariance/covar", "correlation/corr", "lavaMD/lavaMD",
+	"backprop/layer", "particlefilter/likelihood",
+}
+
+// TestSummarizedLoopsAllKeys pins, beside TestDispatcherSourceAllKeys,
+// which loops the static executor summarizes at run time at every prep
+// key: the header label of each loop whose summary ran in closed form
+// at least once, in testdata/summarized_loops.txt. The equality tests
+// would all still pass if a change silently stopped summarizing; this
+// one fails instead. Regenerate an intended change with
+//
+//	go test -run TestSummarizedLoopsAllKeys -update ./internal/interp
+func TestSummarizedLoopsAllKeys(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every prep key of the corpus: skipped under -short")
+	}
+	const groups = 8
+	var sb strings.Builder
+	got := make(map[string][]string) // kernel ID → one entry per key
+	for _, k := range corpus() {
+		for _, wg := range k.WGSizes() {
+			f, err := k.Compile(wg)
+			if err != nil {
+				t.Fatalf("%s wg=%d: compile: %v", k.ID(), wg, err)
+			}
+			hits, err := interp.SummarizedLoopsForTest(f, k.Config(wg), groups)
+			if err != nil {
+				t.Fatalf("%s wg=%d: %v", k.ID(), wg, err)
+			}
+			var fired []string
+			for label, n := range hits {
+				if n > 0 {
+					fired = append(fired, label)
+				}
+			}
+			sort.Strings(fired)
+			line := strings.Join(fired, " ")
+			if line == "" {
+				line = "-"
+			}
+			got[k.ID()] = append(got[k.ID()], line)
+			fmt.Fprintf(&sb, "%s wg=%d: %s\n", k.ID(), wg, line)
+		}
+	}
+	for _, id := range summarizedRequired {
+		lines, ok := got[id]
+		if !ok {
+			t.Errorf("%s: not in the corpus", id)
+		}
+		for i, line := range lines {
+			if line == "-" {
+				t.Errorf("%s: key %d summarizes no loop", id, i)
+			}
+		}
+	}
+	const path = "testdata/summarized_loops.txt"
+	if *updateLoops {
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v\nregenerate with `go test -run TestSummarizedLoopsAllKeys -update ./internal/interp`", err)
+	}
+	if d := firstLineDiff(string(want), sb.String()); d != "" {
+		t.Fatalf("summarized loops changed: %s\nIf intended, regenerate with `go test -run TestSummarizedLoopsAllKeys -update ./internal/interp`.", d)
+	}
+}
+
+// firstLineDiff describes the first line where want and got differ.
+func firstLineDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var a, b string
+		if i < len(w) {
+			a = w[i]
+		}
+		if i < len(g) {
+			b = g[i]
+		}
+		if a != b {
+			return fmt.Sprintf("line %d: want %q, got %q", i+1, a, b)
+		}
+	}
+	return ""
 }

@@ -238,3 +238,21 @@ func TestPatternLatenciesPerDRAM(t *testing.T) {
 		t.Error("changed DRAM timings gave the same pattern latencies")
 	}
 }
+
+// TestLatencyTableMemo pins the device.Profile memo: on every catalogue
+// platform the shared table equals a fresh computation, and fresh
+// *Platform values with the same contents share one table, as the
+// per-job platforms of the server do.
+func TestLatencyTableMemo(t *testing.T) {
+	k := bench.FindID("gemm/gemm")
+	for name := range device.Platforms() {
+		a := corpusAnalysis(t, k, device.Platforms()[name], k.MinWG)
+		b := corpusAnalysis(t, k, device.Platforms()[name], k.MinWG)
+		if want := device.Profile(device.Platforms()[name], 256); *a.Table != *want {
+			t.Errorf("%s: memoized table %+v, want %+v", name, *a.Table, *want)
+		}
+		if a.Table != b.Table {
+			t.Errorf("%s: two analyses on equal platforms got distinct tables", name)
+		}
+	}
+}

@@ -27,8 +27,10 @@ import (
 type Analysis struct {
 	F        *ir.Func
 	Platform *device.Platform
-	Table    *device.LatencyTable
-	PatLat   dram.PatternLatencies
+	// Table is the profiled op latencies. Analyze shares one table per
+	// platform across analyses: treat it as read-only.
+	Table  *device.LatencyTable
+	PatLat dram.PatternLatencies
 
 	// Freq is average block executions per work-item.
 	Freq map[*ir.Block]float64
@@ -177,6 +179,8 @@ func Analyze(ctx context.Context, f *ir.Func, p *device.Platform, cfg *interp.Co
 	prof, err := interp.ProfileKernelTo(f, cfg, opts.ProfileGroups, cl.Group)
 	if prof != nil {
 		psp.Annotate("source", string(prof.Source))
+		psp.Annotate("loop_iters_summarized", fmt.Sprint(prof.LoopIters.Summarized))
+		psp.Annotate("loop_iters_stepped", fmt.Sprint(prof.LoopIters.Stepped))
 	}
 	psp.Annotate("groups", fmt.Sprint(opts.ProfileGroups))
 	psp.End()
@@ -194,7 +198,7 @@ func Analyze(ctx context.Context, f *ir.Func, p *device.Platform, cfg *interp.Co
 		return nil, fmt.Errorf("model: analyzing %s: %w", f.Name, err)
 	}
 	_, dsp := telemetry.Start(ctx, "devprofile")
-	table := device.Profile(p, opts.OpSamples)
+	table := latencyTable(p, opts.OpSamples)
 	patLat := patternLatencies(p.DRAM, opts.DRAMSamples, device.HashString(p.Name))
 	dsp.End()
 	nd := cfg.Range.Normalize()
@@ -235,6 +239,43 @@ func patternLatencies(p device.DRAMParams, samples int, seed uint64) dram.Patter
 	lat := dram.ProfilePatterns(p, samples, seed)
 	patternMemo.Store(k, lat)
 	return lat
+}
+
+// tableKey selects one device.Profile result: the platform name seeds
+// the sampling and the catalogue hash stands for its operation
+// catalogue, which a hit then compares in full.
+type tableKey struct {
+	name    string
+	ops     uint64
+	samples int
+}
+
+// tableEntry is one memoized latency table with the platform it was
+// profiled on.
+type tableEntry struct {
+	p     *device.Platform
+	table *device.LatencyTable
+}
+
+// tableMemo maps tableKey → tableEntry. Platforms come from a fixed
+// catalogue, and serve builds fresh *Platform values per job, so the
+// key is the platform's contents, not its pointer.
+var tableMemo sync.Map
+
+// latencyTable is device.Profile, memoized per platform name, operation
+// catalogue and sample count. Every Analysis on one platform shares the
+// table, so Analysis.Table is read-only.
+func latencyTable(p *device.Platform, samples int) *device.LatencyTable {
+	k := tableKey{p.Name, p.OpsHash(), samples}
+	if v, ok := tableMemo.Load(k); ok {
+		if e := v.(tableEntry); e.p.SameOps(p) {
+			return e.table
+		}
+		return device.Profile(p, samples) // hash collision: do not memoize
+	}
+	t := device.Profile(p, samples)
+	tableMemo.Store(k, tableEntry{p, t})
+	return t
 }
 
 // Estimate is the model's prediction for one design point, with the full

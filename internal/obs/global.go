@@ -37,6 +37,9 @@ func Global() *Registry {
 		globalReg.Counter("profile_interp_total", "")
 		globalReg.Help("profile_interp_total",
 			"Kernel profiles produced by the sequential reference interpreter.")
+		globalReg.Counter("profile_loop_iterations_summarized_total", "")
+		globalReg.Help("profile_loop_iterations_summarized_total",
+			"Loop iterations the static fast path emitted in closed form instead of stepping them.")
 		// build_info is the standard replica-identification gauge:
 		// constant 1, identity in the labels, so a scraper can tell
 		// replicas (and rollout generations) apart.
